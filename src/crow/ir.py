@@ -122,11 +122,6 @@ class Dag:
         return ";".join(parts) + f"|{self.root}"
 
 
-def dag_equal(a: Dag, b: Dag) -> bool:
-    """Structural equality of the subgraphs reachable from the roots."""
-    return _reachable_key(a) == _reachable_key(b)
-
-
 def _reachable_key(d: Dag) -> str:
     def walk(i: int) -> str:
         n = d.nodes[i]

@@ -7,14 +7,27 @@ or dataflow pruning is applied; every candidate that survives the test-vector
 prefilter goes to the equivalence checker, and every non-rejected candidate
 is kept.
 
+The stream is evaluated bottom-up over value vectors, not tree by tree. A
+segment table per size fixes the order: each (op, operand size split) covers
+a run of positions, and a position decodes mixed-radix into one position per
+operand in the smaller sizes' streams. A segment is evaluated in bounded
+chunks, each one broadcast operator application over the operands' value
+rows (taken from a cached bank when a size's whole stream is small, else
+recomputed for the chunk) and one comparison with the block's values. Only
+prefilter survivors become trees and DAGs, and only they are compared with
+the block's own key, since the block's own tree always survives.
+
 Budgets are deterministic: the configured per-block seconds convert to a
-fixed number of work units (one unit ~ one vector evaluation of one
-candidate), so results depend only on (block, config, seed), never on wall
-clock or worker count.
+fixed number of work units (a fixed charge per candidate plus the checker's
+evaluations), so results depend only on (block, config, seed), never on wall
+clock or worker count. Between survivors the per-candidate charges are
+replayed arithmetically in stream order, so the stop point, the counts and
+every index equal those of a loop that charges candidate by candidate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +35,25 @@ import numpy as np
 from . import equiv
 from .emit import emit_dag
 from .equiv import CheckerConfig, InfeasibleDomainError, batch_apply, batch_eval
-from .ir import Dag, DagNode, K_CONST, K_INPUT, PURE_OPS, PureBlock, _reachable_key
+from .ir import Dag, DagNode, K_CONST, K_INPUT, K_OP, PURE_OPS, PureBlock, _reachable_key
 from .wat import wrap_i32
 
-# Work-unit conversion for the deterministic time budget. Calibrated on a
-# mid-range core: one unit is one candidate-vector evaluation.
+# Scale of the deterministic budget: a block gets its budget seconds times
+# this many work units, and a candidate costs max(prefilter vectors, 16)
+# units plus its checker evaluations. It is a fixed conversion, not a
+# measured rate (batched evaluation gets through far more units per second),
+# and changing it changes where budgets stop, hence the outputs.
 WORK_UNITS_PER_SECOND = 8_000_000
+
+# Batch sizes in uint64 values (candidates x prefilter vectors); they bound
+# peak memory. One chunk of a segment is evaluated at a time, and a size's
+# values are kept across chunks only when its whole stream fits in a bank.
+CHUNK_ELEMENTS = 8 * 1024
+BANK_ELEMENTS = 32 * 1024
+
+# Stream positions are int64 in numpy; no budget reaches this far, so larger
+# strides and counts are clamped to it without changing any decoded position.
+_POS_CAP = 1 << 62
 
 CANDIDATE_OPS = tuple(PURE_OPS)  # canonical order
 
@@ -127,7 +153,7 @@ def constant_pool(b: PureBlock, cfg: SynthesisConfig) -> tuple[int, ...]:
     return tuple(sorted(wrap_i32(v) for v in pool))
 
 
-# --- canonical tree enumeration ------------------------------------------------
+# --- the canonical stream ---------------------------------------------------------
 # A tree is either a leaf index (int) or (op, subtree, ...).
 
 
@@ -140,29 +166,99 @@ def _splits(total: int, parts: int):
             yield (first, *rest)
 
 
-def _trees(k: int, n_leaves: int, ops: tuple[str, ...]):
-    if k == 0:
-        yield from range(n_leaves)
-        return
-    for op in ops:
-        arity = PURE_OPS[op]
-        for sizes in _splits(k - 1, arity):
-            yield from _combine(op, sizes, n_leaves, ops)
+@dataclass(frozen=True)
+class _Segment:
+    """Positions [start, start + length) of one size's stream: trees rooted at
+    `op` whose operands have `sizes` ops, chosen rightmost-fastest from
+    streams of `counts` trees."""
+
+    start: int
+    op: str
+    sizes: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return math.prod(self.counts)
+
+    def operands(self, local):
+        """Operand stream positions of segment-local position(s) `local`,
+        a Python int or an int64 array."""
+        out = []
+        stride = self.length
+        for n in self.counts:
+            stride //= n
+            out.append(local // min(stride, _POS_CAP) % min(n, _POS_CAP))
+        return out
 
 
-def _combine(op: str, sizes, n_leaves: int, ops, prefix=()):
-    if not sizes:
-        yield (op, *prefix)
-        return
-    for child in _trees(sizes[0], n_leaves, ops):
-        yield from _combine(op, sizes[1:], n_leaves, ops, prefix + (child,))
+class _Stream:
+    """Segment table of the trees over `n_leaves` leaves, one size at a time;
+    size 0 is the leaves themselves."""
+
+    def __init__(self, n_leaves: int, ops: tuple[str, ...]):
+        self.ops = ops
+        self.counts = [n_leaves]
+        self.segments: list[list[_Segment]] = [[]]
+        self.starts = [np.empty(0, dtype=np.int64)]
+
+    def grow(self) -> int:
+        """Adds the next size's segments; returns that size."""
+        k = len(self.counts)
+        segs, start = [], 0
+        for op in self.ops:
+            for sizes in _splits(k - 1, PURE_OPS[op]):
+                seg = _Segment(start, op, sizes, tuple(self.counts[s] for s in sizes))
+                if seg.length:
+                    segs.append(seg)
+                    start += seg.length
+        self.segments.append(segs)
+        self.counts.append(start)
+        self.starts.append(np.array([min(g.start, _POS_CAP) for g in segs], dtype=np.int64))
+        return k
+
+    def tree(self, size: int, pos: int):
+        if size == 0:
+            return pos
+        seg = self.segments[size][int(np.searchsorted(self.starts[size], pos, "right")) - 1]
+        children = zip(seg.sizes, seg.operands(pos - seg.start))
+        return (seg.op, *(self.tree(s, p) for s, p in children))
 
 
-def _tree_key(tree, leaves) -> str:
-    if isinstance(tree, int):
-        kind, v = leaves[tree]
-        return f"c{v}" if kind == "const" else f"i{v}"
-    return tree[0] + "(" + ",".join(_tree_key(t, leaves) for t in tree[1:]) + ")"
+class _Values:
+    """Value rows of stream positions: one row per tree, one uint64 column
+    per prefilter vector. Sizes whose whole stream fits in BANK_ELEMENTS are
+    evaluated once and kept; the others are recomputed per request."""
+
+    def __init__(self, stream: _Stream, leaf_rows):
+        self.stream = stream
+        self.width = leaf_rows.shape[1]
+        self.banks = {0: leaf_rows}
+
+    def segment(self, seg: _Segment, local):
+        """Values of segment-local positions: one broadcast operator call."""
+        args = [self.rows(s, p) for s, p in zip(seg.sizes, seg.operands(local))]
+        return batch_apply(seg.op, args, 32)
+
+    def rows(self, size: int, pos):
+        bank = self.banks.get(size)
+        if bank is None and self.stream.counts[size] * self.width <= BANK_ELEMENTS:
+            bank = self._compute(size, np.arange(self.stream.counts[size], dtype=np.int64))
+            self.banks[size] = bank
+        if bank is not None:
+            return bank[pos]
+        uniq, inverse = np.unique(pos, return_inverse=True)
+        return self._compute(size, uniq)[inverse]
+
+    def _compute(self, size: int, pos):
+        """Rows of ascending positions, grouped by segment."""
+        segs = self.stream.segments[size]
+        lo = np.searchsorted(pos, self.stream.starts[size])
+        hi = np.append(lo[1:], len(pos))
+        out = np.empty((len(pos), self.width), dtype=np.uint64)
+        for i in np.flatnonzero(hi > lo).tolist():
+            out[lo[i]:hi[i]] = self.segment(segs[i], pos[lo[i]:hi[i]] - segs[i].start)
+        return out
 
 
 def _tree_to_dag(tree, leaves) -> Dag:
@@ -184,28 +280,33 @@ def _tree_to_dag(tree, leaves) -> Dag:
     return Dag(tuple(nodes), root)
 
 
-def _tree_eval(tree, leaf_arrays, width: int = 32):
-    if isinstance(tree, int):
-        return leaf_arrays[tree]
-    return batch_apply(tree[0], [_tree_eval(t, leaf_arrays, width) for t in tree[1:]], width)
-
-
-def _tree_eval_scalar(tree, leaves) -> int:
-    """Evaluates a candidate tree over constant leaves without building a
-    DAG; keeps zero-input enumeration cheap. Returns the unsigned value."""
-    if isinstance(tree, int):
-        return leaves[tree][1] & 0xFFFFFFFF
-    args = [_tree_eval_scalar(t, leaves) for t in tree[1:]]
-    args += [0] * (3 - len(args))
-    return equiv.scalar_op(tree[0], args[0], args[1], args[2], 32)
-
-
 def _leaves_for(b: PureBlock, cfg: SynthesisConfig):
     """Leaf catalogue: block inputs first, then pool constants ascending."""
     leaves = [("input", i) for i in range(len(b.inputs))]
     if cfg.vocabulary.allow_const:
         leaves.extend(("const", v) for v in constant_pool(b, cfg))
     return leaves
+
+
+def _expanded_op_count(d: Dag) -> int:
+    """Op count of the DAG's tree expansion, in one pass over the nodes
+    (operands come before their users)."""
+    counts: list[int] = []
+    for n in d.nodes:
+        counts.append(1 + sum(counts[o] for o in n.operands) if n.kind == K_OP else 0)
+    return counts[d.root]
+
+
+def _self_test(b: PureBlock, max_size: int):
+    """Predicate telling whether a candidate DAG of `size` ops is the block's
+    own tree. A tree of k ops can only share the key of a block whose
+    expansion has k ops, so the block's key, which grows exponentially with
+    its sharing depth, is built only when that count is within max_size."""
+    ops = _expanded_op_count(b.dag)
+    if ops > max_size:
+        return lambda dag, size: False
+    key = _reachable_key(b.dag)
+    return lambda dag, size: size == ops and _reachable_key(dag) == key
 
 
 def enumerate_candidates(b: PureBlock, cfg: SynthesisConfig):
@@ -215,13 +316,16 @@ def enumerate_candidates(b: PureBlock, cfg: SynthesisConfig):
     if errs:
         raise ConfigError("; ".join(errs))
     leaves = _leaves_for(b, cfg)
-    self_key = _reachable_key(b.dag)
+    stream = _Stream(len(leaves), cfg.vocabulary.ops)
+    is_self = _self_test(b, cfg.max_size)
     index = 0
-    for k in range(1, cfg.max_size + 1):
-        for tree in _trees(k, len(leaves), cfg.vocabulary.ops):
-            if _tree_key(tree, leaves) == self_key:
+    for _ in range(cfg.max_size):
+        k = stream.grow()
+        for pos in range(stream.counts[k]):
+            dag = _tree_to_dag(stream.tree(k, pos), leaves)
+            if is_self(dag, k):
                 continue
-            yield Candidate(_tree_to_dag(tree, leaves), index)
+            yield Candidate(dag, index)
             index += 1
 
 
@@ -300,39 +404,29 @@ def synthesize_replacements(
     seconds = cfg.budget_seconds if budget_seconds is None else budget_seconds
     quota = max(int(seconds * WORK_UNITS_PER_SECOND), 1)
     leaves = _leaves_for(b, cfg)
-    self_key = _reachable_key(b.dag)
+    is_self = _self_test(b, cfg.max_size)
     vectors = prefilter_vectors(b, cfg)
     n_vec = len(vectors[0]) if vectors else 1
     charge = max(n_vec, 16)  # floor covers per-candidate bookkeeping cost
-    block_vals = np.atleast_1d(batch_eval(b.dag, vectors, 32)) if vectors else None
-    block_scalar = (
-        equiv.eval_dag(b.dag, (), 32) & 0xFFFFFFFF if not vectors else None
-    )
+    target = np.atleast_1d(batch_eval(b.dag, vectors, 32))
+    leaf_rows = np.empty((len(leaves), n_vec), dtype=np.uint64)
+    for row, (kind, v) in zip(leaf_rows, leaves):
+        row[:] = vectors[v] if kind == "input" else v & 0xFFFFFFFF
 
-    leaf_arrays = [
-        vectors[v] if kind == "input" else np.uint64(v & 0xFFFFFFFF)
-        for kind, v in leaves
-    ] if vectors else []
-
-    def consider(candidate_dag: Dag | None, tree, index: int) -> bool:
-        """Prefilter then check one candidate; False means stop the loop."""
-        result.candidates_seen += 1
-        result.work_units += charge
-        if result.work_units > quota:
+    def pay(n: int) -> bool:
+        """Charges the next n candidates; False when the budget stops at one
+        of them, which is then the last one counted."""
+        affordable = max(quota - result.work_units, 0) // charge
+        paid = min(n, affordable + 1)
+        result.candidates_seen += paid
+        result.work_units += paid * charge
+        if n > affordable:
             result.stopped = "budget"
             return False
-        if vectors:
-            cv = np.atleast_1d(
-                _tree_eval(tree, leaf_arrays) if tree is not None
-                else batch_eval(candidate_dag, vectors, 32)
-            )
-            if not bool(np.all(cv == block_vals)):
-                return True
-        elif tree is not None and _tree_eval_scalar(tree, leaves) != block_scalar:
-            return True
-        dag = candidate_dag if candidate_dag is not None else _tree_to_dag(tree, leaves)
-        if not vectors and (equiv.eval_dag(dag, (), 32) & 0xFFFFFFFF) != block_scalar:
-            return True
+        return True
+
+    def admit(dag: Dag, index: int) -> bool:
+        """Checks one prefilter survivor; False means stop the stream."""
         try:
             verdict = equiv.check(b, dag, checker)
         except InfeasibleDomainError:
@@ -354,17 +448,44 @@ def synthesize_replacements(
             return False
         return True
 
+    # The inferred constant agrees with the block on every prefilter vector
+    # by construction, so it goes straight to the checker.
     inferred = infer_constant(b, cfg)
-    if inferred is not None and _reachable_key(inferred.dag) != self_key:
-        if not consider(inferred.dag, None, -1):
+    if inferred is not None and not is_self(inferred.dag, 0):
+        if not pay(1) or not admit(inferred.dag, -1):
             return result
 
-    index = 0
-    for k in range(1, cfg.max_size + 1):
-        for tree in _trees(k, len(leaves), cfg.vocabulary.ops):
-            if _tree_key(tree, leaves) == self_key:
-                continue
-            if not consider(None, tree, index):
-                return result
-            index += 1
+    stream = _Stream(len(leaves), cfg.vocabulary.ops)
+    values = _Values(stream, leaf_rows)
+    rows_per_chunk = max(CHUNK_ELEMENTS // n_vec, 1)
+    base = 0  # stream position of the first tree of the current size
+    done = 0  # stream positions before this one are charged or skipped
+    skipped = 0  # the block's own tree, once passed; it takes no index
+    for _ in range(cfg.max_size):
+        k = stream.grow()
+        for seg in stream.segments[k]:
+            lo = 0
+            while lo < seg.length:
+                # never evaluate past the stopping candidate (+1 for the self)
+                room = max(quota - result.work_units, 0) // charge + 2
+                hi = min(seg.length, lo + min(rows_per_chunk, room))
+                vals = values.segment(seg, np.arange(lo, hi, dtype=np.int64))
+                first = base + seg.start + lo
+                for h in np.flatnonzero(np.all(vals == target, axis=1)).tolist():
+                    pos = first + h
+                    dag = _tree_to_dag(stream.tree(k, seg.start + lo + h), leaves)
+                    own = is_self(dag, k)
+                    if not pay(pos + (not own) - done):
+                        return result
+                    done = pos + 1
+                    if own:
+                        skipped += 1
+                    elif not admit(dag, pos - skipped):
+                        return result
+                end = first + hi - lo
+                if not pay(end - done):
+                    return result
+                done = end
+                lo = hi
+        base += stream.counts[k]
     return result

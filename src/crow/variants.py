@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import dataclass, field
 
 from .emit import reemit_function
@@ -109,7 +110,14 @@ def enumerate_combinations(
         return [], False
     truncated = total > limit
     if truncated:
-        codes = sorted(random.Random(seed).sample(range(1, total + 1), limit))
+        rng = random.Random(seed)
+        if total <= sys.maxsize:
+            codes = sorted(rng.sample(range(1, total + 1), limit))
+        else:  # a range this long has no len(), so sample() cannot take it
+            picked: set[int] = set()
+            while len(picked) < limit:
+                picked.add(rng.randrange(1, total + 1))
+            codes = sorted(picked)
     else:
         codes = range(1, total + 1)
     return [_decode_plan(s, order, code) for code in codes], truncated

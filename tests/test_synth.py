@@ -1,9 +1,15 @@
+import dataclasses
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from crow import synth
 from crow.equiv import CheckerConfig, check
-from crow.ir import K_CONST, _reachable_key, extract_module_blocks
+from crow.ir import (
+    K_CONST, K_INPUT, K_OP, PURE_OPS, Dag, DagNode, _reachable_key, extract_module_blocks,
+)
 from crow.synth import (
     Candidate,
     ConfigError,
@@ -17,6 +23,7 @@ from crow.synth import (
     synthesize_replacements,
 )
 from dagutil import C, D, IN, block_of
+from synth_oracle import synthesize_reference
 
 FAST_CHECKER = CheckerConfig(samples=512)
 
@@ -263,3 +270,148 @@ def test_listing_style_end_to_end_blocks(mul_add_module):
     keys = {_reachable_key(r.candidate.dag) for r in result.replacements}
     assert "mul(i0,c3)" in keys  # 3x in one op
     assert any("shl" in k for k in keys)
+
+
+# --- batched stream vs the tree-at-a-time oracle -------------------------------------
+
+# (CHUNK_ELEMENTS, BANK_ELEMENTS): the defaults, then one candidate per chunk
+# with no banks, so chunk boundaries fall everywhere and every operand row
+# is recomputed.
+BATCHING = [(None, None), (1, 0)]
+
+
+def _synthesize_with(batching, b, cfg, checker):
+    chunk, bank = batching
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(synth, "CHUNK_ELEMENTS", chunk)
+            mp.setattr(synth, "BANK_ELEMENTS", bank)
+        return synthesize_replacements(b, cfg, checker)
+
+
+def _assert_matches_oracle(batching, b, cfg, checker):
+    got = _synthesize_with(batching, b, cfg, checker)
+    assert vars(got) == vars(synthesize_reference(b, cfg, checker))
+    return got
+
+
+def tee_chain(depth: int):
+    """local.tee 0; local.get 0; i32.add, `depth` times: each add uses the
+    previous one twice, so the tree expansion doubles per level."""
+    nodes = [DagNode(K_INPUT, input=0)]
+    nodes += [DagNode(K_OP, op="add", operands=(i, i)) for i in range(depth)]
+    return dataclasses.replace(block_of(IN(0), 1), dag=Dag(tuple(nodes), depth))
+
+
+def _units(n: int) -> float:
+    """Budget seconds worth exactly n work units."""
+    return (n + 0.5) / synth.WORK_UNITS_PER_SECOND
+
+
+CONSTS = [0, 1, -1, 2, 7, -9, 255, 2**31 - 1, -(2**31)]
+
+
+@st.composite
+def block_trees(draw, n_inputs, depth=0):
+    if depth >= 2 or draw(st.integers(0, 2)) == 0:
+        if n_inputs and draw(st.booleans()):
+            return IN(draw(st.integers(0, n_inputs - 1)))
+        return C(draw(st.sampled_from(CONSTS)))
+    op = draw(st.sampled_from(sorted(PURE_OPS)))
+    return (op, *(draw(block_trees(n_inputs, depth + 1)) for _ in range(PURE_OPS[op])))
+
+
+@st.composite
+def synthesis_cases(draw):
+    n_inputs = draw(st.integers(0, 3))
+    b = block_of(draw(block_trees(n_inputs)), n_inputs)
+    ops = draw(st.lists(st.sampled_from(sorted(PURE_OPS)), min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 5)) == 0:
+        ops = []
+    allow_const = draw(st.booleans()) or not ops
+    vocabulary = Vocabulary.of(*ops, *(["const"] if allow_const else []))
+    cfg = SynthesisConfig(
+        max_size=draw(st.integers(1, 3)),
+        vocabulary=vocabulary,
+        pool_base=tuple(draw(st.lists(st.sampled_from(CONSTS), max_size=3, unique=True))),
+        prefilter_random=draw(st.sampled_from([1, 8, 64])),
+        seed=draw(st.integers(0, 3)),
+        max_replacements=draw(st.sampled_from([1, 3, 24, 10**6])),
+    )
+    # a budget of some candidates' worth of units, plus part of one more
+    vectors = prefilter_vectors(b, cfg)
+    charge = max(len(vectors[0]) if vectors else 1, 16)
+    candidates = draw(st.one_of(st.integers(0, 20), st.integers(20, 3000)))
+    cfg = dataclasses.replace(
+        cfg, budget_seconds=_units(candidates * charge + draw(st.integers(0, charge - 1)))
+    )
+    checker = CheckerConfig(
+        mode=draw(st.sampled_from(["probable-ok", "exhaustive-only"])),
+        widths=(4,),
+        samples=draw(st.sampled_from([0, 64, 4000])),
+    )
+    return b, cfg, checker
+
+
+@pytest.mark.parametrize("batching", BATCHING)
+@settings(max_examples=60, deadline=None)
+@given(case=synthesis_cases())
+def test_batched_synthesis_matches_oracle(batching, case):
+    _assert_matches_oracle(batching, *case)
+
+
+@pytest.mark.parametrize("batching", BATCHING)
+@pytest.mark.parametrize(
+    "tree, n_inputs, cfg, checker, expect",
+    [
+        # zero-input block: the inferred constant comes first, at index -1
+        (("sub", ("mul", C(158), C(160)), C(16)), 0,
+         SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("add", "shl", "const"),
+                         budget_seconds=_units(40_000)),
+         FAST_CHECKER, lambda r: r.replacements[0].candidate.index == -1),
+        # const-only vocabulary: nothing to enumerate beyond the inferred constant
+        (("and", IN(0), C(0)), 1, SynthesisConfig(vocabulary=Vocabulary.of("const")),
+         FAST_CHECKER, lambda r: r.candidates_seen == 1 and r.stopped == "complete"),
+        # the budget stops at the first candidate
+        (("mul", IN(0), C(2)), 1, SynthesisConfig(budget_seconds=_units(0)),
+         FAST_CHECKER, lambda r: (r.candidates_seen, r.stopped) == (1, "budget")),
+        # the budget stops mid-chunk (a chunk holds 115 candidates of 71 vectors)
+        (("mul", IN(0), C(2)), 1, SynthesisConfig(max_size=2, budget_seconds=_units(71 * 300)),
+         FAST_CHECKER, lambda r: r.stopped == "budget" and r.candidates_seen == 278),
+        # the replacement cap
+        (("add", IN(0), IN(1)), 2, SynthesisConfig(max_size=2, max_replacements=3),
+         FAST_CHECKER, lambda r: r.stopped == "cap" and len(r.replacements) == 3),
+        # checker evaluations push the work units past the quota
+        (("add", IN(0), IN(0)), 1,
+         SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("add", "shl", "const"),
+                         budget_seconds=_units(20_000), max_replacements=10**6),
+         CheckerConfig(samples=30_000),
+         lambda r: r.stopped == "budget" and r.work_units > 30_000),
+        # every input-block check is infeasible: nothing is kept, nothing charged
+        (("mul", IN(0), C(2)), 1, SynthesisConfig(max_size=2, budget_seconds=_units(40_000)),
+         CheckerConfig(mode="exhaustive-only"), lambda r: not r.replacements),
+        # a block of 3 ops that the size-3 stream contains: its own tree is skipped
+        (("add", ("add", IN(0), IN(0)), ("add", IN(0), IN(0))), 1,
+         SynthesisConfig(vocabulary=Vocabulary.of("add", "const"), pool_base=(1,)),
+         FAST_CHECKER, lambda r: r.stopped == "complete"),
+    ],
+)
+def test_batched_synthesis_edge_cases(batching, tree, n_inputs, cfg, checker, expect):
+    got = _assert_matches_oracle(batching, block_of(tree, n_inputs), cfg, checker)
+    assert expect(got)
+
+
+def test_deep_sharing_never_builds_the_block_key(monkeypatch):
+    def refuse(dag):
+        raise AssertionError("block key built")
+
+    cfg = SynthesisConfig(max_size=3, budget_seconds=0.01)
+    with monkeypatch.context() as mp:
+        mp.setattr(synth, "_reachable_key", refuse)
+        deep = synthesize_replacements(tee_chain(19), cfg, FAST_CHECKER)
+    assert deep.stopped == "budget" and deep.candidates_seen > 0
+    # a short chain (3 ops, within max_size) still excludes its own tree
+    short = SynthesisConfig(max_size=3, vocabulary=Vocabulary.of("add", "const"), pool_base=())
+    got = _assert_matches_oracle((None, None), tee_chain(2), short, FAST_CHECKER)
+    assert all(_reachable_key(r.candidate.dag) != "add(add(i0,i0),add(i0,i0))"
+               for r in got.replacements)

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -10,6 +13,7 @@ from crow.metrics import dt_static
 from crow.synth import Candidate, Replacement, SynthesisConfig, Vocabulary, synthesize_replacements
 from crow.variants import (
     ReplacementSet,
+    _decode_plan,
     VariantPlan,
     apply_plan,
     dedup_variants,
@@ -128,6 +132,22 @@ def test_truncation_samples_deterministically():
     assert trunc1 and len(plans1) == 5
     assert plans1 == plans2
     assert plans1 != plans3
+
+
+def test_sampling_past_sys_maxsize():
+    s = _set_with([3] * 40)  # 4**40 - 1 plans
+    assert plan_count(s) > sys.maxsize
+    plans, truncated = enumerate_combinations(s, limit=16, seed=7)
+    assert truncated and len(plans) == 16
+    assert len({tuple(sorted(p.choices.items())) for p in plans}) == 16
+    assert plans == enumerate_combinations(s, limit=16, seed=7)[0]
+
+
+def test_small_totals_keep_the_sample_call():
+    s = _set_with([2, 2, 2])
+    codes = sorted(random.Random(3).sample(range(1, plan_count(s) + 1), 5))
+    plans, _ = enumerate_combinations(s, limit=5, seed=3)
+    assert [p.choices for p in plans] == [_decode_plan(s, s.order(), c).choices for c in codes]
 
 
 def test_empty_plan_rejected():

@@ -5,7 +5,8 @@ For every bundled program this runs the full pipeline, then reports the
 number of unique variants, the replacement totals, and the distribution of
 dt_dyn between the original trace and each variant trace (min / max / median,
 and the share of pairs with zero and non-zero distance). Artifacts land under
---out, one directory per program, including manifests for later auditing.
+--out, one directory per program (replacements, variants, traces and the
+manifest, as `crow diversify` writes them) for later auditing.
 """
 
 import argparse
@@ -14,7 +15,8 @@ import sys
 from pathlib import Path
 
 from crow import corpus
-from crow.pipeline import RunConfig, diversify, dump_json, manifest_to_json, store_to_json
+from crow.cli import write_artifacts
+from crow.pipeline import RunConfig, diversify
 from crow.synth import SynthesisConfig
 from crow.wat import parse_module
 
@@ -61,19 +63,7 @@ def main(argv=None) -> int:
             jobs=args.jobs,
         )
         result = diversify(module, cfg)
-        outdir = outroot / name
-        outdir.mkdir(exist_ok=True)
-        files = []
-        for i, report in enumerate(result.reports):
-            fname = f"variant_{i}.wat"
-            (outdir / fname).write_text(report.variant.text)
-            files.append(fname)
-        (outdir / "manifest.json").write_text(
-            dump_json(manifest_to_json(module, cfg, result, f"{name}.wat", files))
-        )
-        (outdir / "replacements.json").write_text(
-            dump_json(store_to_json(module, cfg, result.exploration))
-        )
+        write_artifacts(outroot / name, module, cfg, result, f"{name}.wat")
         rows.append(summarize(name, result))
         r = rows[-1]
         print(

@@ -16,17 +16,18 @@ import sys
 from pathlib import Path
 
 from .equiv import CheckerConfig
-from .interp import DEFAULT_FUEL, read_trace, write_trace
+from .interp import DEFAULT_FUEL, InvokeError, TraceFormatError, read_trace, write_trace
 from .metrics import dt_dyn, dt_static
 from .pipeline import (
+    DiversifyResult,
     RunConfig,
     StoreMismatchError,
     diversify,
     dump_json,
     explore_module,
-    generate_variants,
     manifest_to_json,
     replacements_from_store,
+    report_variants,
     store_to_json,
     trace_module,
 )
@@ -147,13 +148,30 @@ def _cmd_explore(args) -> int:
     return EXIT_OK
 
 
-def _write_variants(outdir: Path, gen_reports) -> list[str]:
-    names = []
-    for i, report in enumerate(gen_reports):
-        name = f"variant_{i}.wat"
+def write_artifacts(outdir: Path, m: Module, cfg: RunConfig, result: DiversifyResult,
+                    original_file: str) -> list[str]:
+    """Writes replacements.json (unless the replacements came from a store),
+    variant_<k>.wat, traces/ (when the run traced) and manifest.json into
+    `outdir`; returns the variant file names."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    if result.exploration is not None:
+        (outdir / "replacements.json").write_text(
+            dump_json(store_to_json(m, cfg, result.exploration))
+        )
+    files = [f"variant_{i}.wat" for i in range(len(result.reports))]
+    for name, report in zip(files, result.reports):
         (outdir / name).write_text(report.variant.text)
-        names.append(name)
-    return names
+    if result.original_trace is not None:
+        tdir = outdir / "traces"
+        tdir.mkdir(exist_ok=True)
+        with open(tdir / "original.trace", "w") as f:
+            write_trace(result.original_trace, result.original_outcome, f, cfg.invoke_name)
+        for name, report in zip(files, result.reports):
+            with open(tdir / f"{Path(name).stem}.trace", "w") as f:
+                write_trace(report.trace, report.outcome, f, cfg.invoke_name)
+    manifest = manifest_to_json(m, cfg, result, original_file, files)
+    (outdir / "manifest.json").write_text(dump_json(manifest))
+    return files
 
 
 def _cmd_generate(args) -> int:
@@ -167,29 +185,14 @@ def _cmd_generate(args) -> int:
         replacements = replacements_from_store(m, store)
     except StoreMismatchError as e:
         raise _CliError(EXIT_STORE, str(e))
-    gen = generate_variants(m, replacements, cfg)
-
-    from .pipeline import DiversifyResult, _variant_report
-
-    reports = [_variant_report(m, gen, v) for v in gen.variants]
-    result = DiversifyResult(
-        exploration=[], generation=gen, reports=reports,
-        original_outcome=None, original_trace=None, outcome_mismatches=0,
-    )
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = _write_variants(outdir, reports)
-    manifest = manifest_to_json(m, cfg, result, args.module, files)
-    del manifest["exploration"]  # generate consumes a store; explore owns that part
-    (outdir / "manifest.json").write_text(dump_json(manifest))
+    files = write_artifacts(outdir, m, cfg, report_variants(m, replacements, cfg), args.module)
     print(f"{len(files)} unique variant(s) -> {outdir}")
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
     m = _load_module(args.module)
-    from .interp import InvokeError
-
     try:
         outcome, trace = trace_module(m, args.invoke, _parse_args_list(args.args), args.fuel)
     except InvokeError as e:
@@ -208,8 +211,6 @@ def _cmd_trace(args) -> int:
 
 
 def _read_trace_file(path: str):
-    from .interp import TraceFormatError
-
     try:
         with open(path) as f:
             return read_trace(f)
@@ -252,28 +253,12 @@ def _cmd_measure(args) -> int:
 def _cmd_diversify(args) -> int:
     m = _load_module(args.module)
     cfg = _run_config(args)
-    from .interp import InvokeError
-
     try:
         result = diversify(m, cfg, do_trace=cfg.invoke_name in m.exports)
     except InvokeError as e:
         raise _CliError(EXIT_INPUT, str(e))
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "replacements.json").write_text(
-        dump_json(store_to_json(m, cfg, result.exploration))
-    )
-    files = _write_variants(outdir, result.reports)
-    if result.original_trace is not None:
-        tdir = outdir / "traces"
-        tdir.mkdir(exist_ok=True)
-        with open(tdir / "original.trace", "w") as f:
-            write_trace(result.original_trace, result.original_outcome, f, cfg.invoke_name)
-        for name, report in zip(files, result.reports):
-            with open(tdir / f"{Path(name).stem}.trace", "w") as f:
-                write_trace(report.trace, report.outcome, f, cfg.invoke_name)
-    manifest = manifest_to_json(m, cfg, result, args.module, files)
-    (outdir / "manifest.json").write_text(dump_json(manifest))
+    files = write_artifacts(outdir, m, cfg, result, args.module)
     dyn = sum(1 for r in result.reports if r.dt_dyn not in (None, 0))
     print(
         f"{len(files)} unique variant(s), {dyn} with dt_dyn > 0 -> {outdir}"

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Dag, K_CONST, K_INPUT, PureBlock
+from .ir import (
+    Dag, K_CONST, K_INPUT, K_OP, PURE_OPS, SEMANTICS, PureBlock, Width, width_constants,
+)
 
 TIER_VERIFIED = "verified"
 TIER_PROBABLE = "probable"
@@ -65,66 +67,32 @@ class CheckerConfig:
         return errs
 
 
-# --- scalar evaluation --------------------------------------------------------
+# --- evaluation ---------------------------------------------------------------
+
+_U64 = np.uint64
 
 
 def _signed(u: int, width: int) -> int:
     return u - (1 << width) if u >> (width - 1) else u
 
 
+def _evaluate(dag: Dag, leaves, k: Width):
+    """Root value of a DAG over unsigned width-bit input values, in the
+    number type of the width constants `k`."""
+    vals = []
+    for n in dag.nodes:
+        if n.kind == K_CONST:
+            vals.append(type(k.mask)(n.value & int(k.mask)))
+        elif n.kind == K_INPUT:
+            vals.append(leaves[n.input])
+        else:
+            vals.append(SEMANTICS[n.op].fn(k, *(vals[o] for o in n.operands)))
+    return vals[dag.root]
+
+
 def scalar_op(op: str, a: int, b: int, c: int, width: int) -> int:
     """One operator over unsigned width-bit values; returns unsigned."""
-    mask = (1 << width) - 1
-    sign = 1 << (width - 1)
-    if op == "add":
-        return (a + b) & mask
-    if op == "sub":
-        return (a - b) & mask
-    if op == "mul":
-        return (a * b) & mask
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "shl":
-        return (a << (b % width)) & mask
-    if op == "shr_u":
-        return a >> (b % width)
-    if op == "shr_s":
-        return (_signed(a, width) >> (b % width)) & mask
-    if op == "rotl":
-        k = b % width
-        return ((a << k) | (a >> ((width - k) % width))) & mask
-    if op == "rotr":
-        k = b % width
-        return ((a >> k) | (a << ((width - k) % width))) & mask
-    if op == "eqz":
-        return int(a == 0)
-    if op == "eq":
-        return int(a == b)
-    if op == "ne":
-        return int(a != b)
-    if op == "lt_s":
-        return int((a ^ sign) < (b ^ sign))
-    if op == "lt_u":
-        return int(a < b)
-    if op == "gt_s":
-        return int((a ^ sign) > (b ^ sign))
-    if op == "gt_u":
-        return int(a > b)
-    if op == "le_s":
-        return int((a ^ sign) <= (b ^ sign))
-    if op == "le_u":
-        return int(a <= b)
-    if op == "ge_s":
-        return int((a ^ sign) >= (b ^ sign))
-    if op == "ge_u":
-        return int(a >= b)
-    if op == "select":
-        return a if c != 0 else b
-    raise AssertionError(op)  # pragma: no cover
+    return SEMANTICS[op].fn(width_constants(width), *(a, b, c)[: PURE_OPS[op]])
 
 
 def eval_dag(dag: Dag, env, width: int = 32) -> int:
@@ -132,100 +100,21 @@ def eval_dag(dag: Dag, env, width: int = 32) -> int:
     given bit width; returns the signed value. Semantics match the i32
     instruction set: wraparound arithmetic, shift counts modulo width,
     comparisons producing 0/1."""
-    mask = (1 << width) - 1
-    vals: list[int] = []
-    for n in dag.nodes:
-        if n.kind == K_CONST:
-            vals.append(n.value & mask)
-        elif n.kind == K_INPUT:
-            vals.append(env[n.input] & mask)
-        else:
-            a = vals[n.operands[0]]
-            b = vals[n.operands[1]] if len(n.operands) > 1 else 0
-            c = vals[n.operands[2]] if len(n.operands) > 2 else 0
-            vals.append(scalar_op(n.op, a, b, c, width))
-    return _signed(vals[dag.root], width)
-
-
-# --- batched evaluation -------------------------------------------------------
-
-_U64 = np.uint64
+    k = width_constants(width)
+    return _signed(_evaluate(dag, [v & k.mask for v in env], k), width)
 
 
 def batch_apply(op: str, args, width: int):
     """One operator over uint64 arrays holding width-bit unsigned values.
     Wraparound is the defined semantics, so overflow warnings are silenced."""
     with np.errstate(over="ignore"):
-        return _batch_apply(op, args, width)
-
-
-def _batch_apply(op: str, args, width: int):
-    mask = _U64((1 << width) - 1)
-    sign = _U64(1 << (width - 1))
-    w = _U64(width)
-    a = args[0]
-    b = args[1] if len(args) > 1 else None
-    if op == "add":
-        return (a + b) & mask
-    if op == "sub":
-        return (a - b) & mask
-    if op == "mul":
-        return (a * b) & mask
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "shl":
-        return (a << (b % w)) & mask
-    if op == "shr_u":
-        return a >> (b % w)
-    if op == "shr_s":
-        k = b % w
-        return (((a ^ sign) >> k) - (sign >> k)) & mask
-    if op == "rotl":
-        k = b % w
-        return ((a << k) | (a >> ((w - k) % w))) & mask
-    if op == "rotr":
-        k = b % w
-        return ((a >> k) | (a << ((w - k) % w))) & mask
-    one = _U64(1)
-    zero = _U64(0)
-    if op == "eqz":
-        return np.where(a == zero, one, zero)
-    if op == "eq":
-        return np.where(a == b, one, zero)
-    if op == "ne":
-        return np.where(a != b, one, zero)
-    if op in ("lt_s", "gt_s", "le_s", "ge_s"):
-        a, b = a ^ sign, b ^ sign
-        op = op[:2] + "_u"
-    if op == "lt_u":
-        return np.where(a < b, one, zero)
-    if op == "gt_u":
-        return np.where(a > b, one, zero)
-    if op == "le_u":
-        return np.where(a <= b, one, zero)
-    if op == "ge_u":
-        return np.where(a >= b, one, zero)
-    if op == "select":
-        return np.where(args[2] != zero, args[0], args[1])
-    raise AssertionError(op)  # pragma: no cover
+        return SEMANTICS[op].fn(width_constants(width, _U64), *args)
 
 
 def batch_eval(dag: Dag, env_arrays, width: int = 32):
     """Evaluates a DAG over uint64 input arrays (already masked to width)."""
-    mask = _U64((1 << width) - 1)
-    vals = []
-    for n in dag.nodes:
-        if n.kind == K_CONST:
-            vals.append(_U64(n.value & ((1 << width) - 1)))
-        elif n.kind == K_INPUT:
-            vals.append(env_arrays[n.input])
-        else:
-            vals.append(batch_apply(n.op, [vals[i] for i in n.operands], width))
-    root = vals[dag.root]
+    with np.errstate(over="ignore"):
+        root = _evaluate(dag, env_arrays, width_constants(width, _U64))
     if np.ndim(root) == 0 and env_arrays:
         root = np.broadcast_to(root, env_arrays[0].shape)
     return root
@@ -255,8 +144,6 @@ def _sweep(left: Dag, right: Dag, n_inputs: int, width: int):
         hi = min(base + _CHUNK, total)
         idx = np.arange(base, hi, dtype=np.uint64)
         env = [(idx >> _U64(width * j)) & per for j in range(n_inputs)]
-        if n_inputs == 0:
-            env = []
         lv = np.atleast_1d(batch_eval(left, env, width))
         rv = np.atleast_1d(batch_eval(right, env, width))
         yield env, np.nonzero(lv != rv)[0], hi - base
@@ -291,50 +178,33 @@ def exhaustive_check(b: PureBlock | Dag, c: Dag, width: int, budget: int = 2**26
 
 # --- SMT-LIB emission and solver driving ---------------------------------------
 
-_SMT_BIN = {
-    "add": "bvadd", "sub": "bvsub", "mul": "bvmul",
-    "and": "bvand", "or": "bvor", "xor": "bvxor",
-}
-_SMT_CMP = {
-    "eq": "=", "ne": "distinct",
-    "lt_s": "bvslt", "lt_u": "bvult", "gt_s": "bvsgt", "gt_u": "bvugt",
-    "le_s": "bvsle", "le_u": "bvule", "ge_s": "bvsge", "ge_u": "bvuge",
-}
 
-
-def _hex32(v: int) -> str:
-    return f"#x{v & 0xFFFFFFFF:08x}"
-
-
-def _smt_term(dag: Dag, idx: int) -> str:
-    n = dag.nodes[idx]
-    if n.kind == K_CONST:
-        return _hex32(n.value)
-    if n.kind == K_INPUT:
-        return f"in{n.input}"
-    ops = [_smt_term(dag, o) for o in n.operands]
-    op = n.op
-    if op in _SMT_BIN:
-        return f"({_SMT_BIN[op]} {ops[0]} {ops[1]})"
-    if op in _SMT_CMP:
-        return f"(ite ({_SMT_CMP[op]} {ops[0]} {ops[1]}) {_hex32(1)} {_hex32(0)})"
-    if op == "eqz":
-        return f"(ite (= {ops[0]} {_hex32(0)}) {_hex32(1)} {_hex32(0)})"
-    if op == "select":
-        return f"(ite (distinct {ops[2]} {_hex32(0)}) {ops[0]} {ops[1]})"
-    k = f"(bvand {ops[1]} {_hex32(31)})"
-    if op == "shl":
-        return f"(bvshl {ops[0]} {k})"
-    if op == "shr_u":
-        return f"(bvlshr {ops[0]} {k})"
-    if op == "shr_s":
-        return f"(bvashr {ops[0]} {k})"
-    back = f"(bvand (bvsub {_hex32(32)} {k}) {_hex32(31)})"
-    if op == "rotl":
-        return f"(bvor (bvshl {ops[0]} {k}) (bvlshr {ops[0]} {back}))"
-    if op == "rotr":
-        return f"(bvor (bvlshr {ops[0]} {k}) (bvshl {ops[0]} {back}))"
-    raise AssertionError(op)  # pragma: no cover
+def _smt_terms(dag: Dag, prefix: str, lets: list[str]) -> str:
+    """The root's term. An op node whose term the templates would spell out
+    more than once is bound by name instead (appended to `lets` in node
+    order), so the script grows linearly with shared subterms."""
+    uses = [0] * len(dag.nodes)
+    uses[dag.root] = 1
+    for i in range(len(dag.nodes) - 1, -1, -1):
+        n = dag.nodes[i]
+        if uses[i] and n.kind == K_OP:
+            template = SEMANTICS[n.op].smt
+            for slot, o in zip("abc", n.operands):
+                uses[o] += template.count("{" + slot + "}")
+    terms: list[str] = []
+    for i, n in enumerate(dag.nodes):
+        if n.kind == K_CONST:
+            term = f"#x{n.value & 0xFFFFFFFF:08x}"
+        elif n.kind == K_INPUT:
+            term = f"in{n.input}"
+        else:
+            term = SEMANTICS[n.op].smt.format(**dict(zip("abc", (terms[o] for o in n.operands))))
+            if uses[i] > 1:
+                name = f"{prefix}{i}"
+                lets.append(f"(let (({name} {term})) ")
+                term = name
+        terms.append(term)
+    return terms[dag.root]
 
 
 def emit_smtlib(b: PureBlock | Dag, c: Dag) -> str:
@@ -347,7 +217,9 @@ def emit_smtlib(b: PureBlock | Dag, c: Dag) -> str:
     lines = ["(set-logic QF_BV)"]
     for i in range(n_inputs):
         lines.append(f"(declare-const in{i} (_ BitVec 32))")
-    lines.append(f"(assert (distinct {_smt_term(left, left.root)} {_smt_term(c, c.root)}))")
+    lets: list[str] = []
+    body = f"(distinct {_smt_terms(left, 'l', lets)} {_smt_terms(c, 'r', lets)})"
+    lines.append(f"(assert {''.join(lets)}{body}{')' * len(lets)})")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .wat import Instr, Module, validate, wrap_i32
+from .ir import OP_TO_MNEMONIC, PURE_OPS, SEMANTICS, width_constants
+from .wat import INT32_MIN, Instr, Module, validate, wrap_i32
 
 DEFAULT_FUEL = 50_000_000
-
-INT32_MIN = -(2**31)
 
 
 class TraceEvent(NamedTuple):
@@ -123,8 +122,6 @@ def _u32(v: int) -> int:
 
 
 def _div_s(a: int, b: int) -> int:
-    if b == 0:
-        raise _Trap("div-by-zero")
     if a == INT32_MIN and b == -1:
         raise _Trap("integer-overflow")
     q = abs(a) // abs(b)
@@ -132,12 +129,20 @@ def _div_s(a: int, b: int) -> int:
 
 
 def _rem_s(a: int, b: int) -> int:
-    if b == 0:
-        raise _Trap("div-by-zero")
-    if a == INT32_MIN and b == -1:
-        return 0
     r = abs(a) % abs(b)
     return -r if a < 0 else r
+
+
+# The trapping ops, over signed i32 operands with a nonzero divisor; every
+# other value op comes from the semantics table.
+_TRAPPING = {
+    "i32.div_s": _div_s,
+    "i32.div_u": lambda a, b: wrap_i32(_u32(a) // _u32(b)),
+    "i32.rem_s": _rem_s,
+    "i32.rem_u": lambda a, b: wrap_i32(_u32(a) % _u32(b)),
+}
+_PURE = {mn: (SEMANTICS[op].fn, PURE_OPS[op]) for op, mn in OP_TO_MNEMONIC.items()}
+_I32 = width_constants(32)
 
 
 def _run(state: MachineState, fn_index: int, locals_: list[int], trace: Trace,
@@ -209,11 +214,6 @@ def _run(state: MachineState, fn_index: int, locals_: list[int], trace: Trace,
             state.memory[addr : addr + 4] = _u32(v).to_bytes(4, "little")
         elif m == "drop":
             pop()
-        elif m == "select":
-            c = pop()
-            v2 = pop()
-            v1 = pop()
-            push(v1 if c != 0 else v2)
         elif m == "block" or m == "loop":
             ctrl.append((m, len(stack), ip))
         elif m == "if":
@@ -261,75 +261,26 @@ def _run(state: MachineState, fn_index: int, locals_: list[int], trace: Trace,
             pass
         elif m == "unreachable":
             raise _Trap("unreachable")
-        else:
-            a = b = 0
-            if m == "i32.eqz":
-                a = pop()
-                push(int(a == 0))
+        elif m in _PURE:
+            fn, arity = _PURE[m]
+            if arity == 2:
+                b = pop() & 0xFFFFFFFF
+                r = fn(_I32, pop() & 0xFFFFFFFF, b)
+            elif arity == 1:
+                r = fn(_I32, pop() & 0xFFFFFFFF)
             else:
-                b = pop()
-                a = pop()
-                op = m[4:]
-                ua, ub = _u32(a), _u32(b)
-                if op == "add":
-                    r = wrap_i32(a + b)
-                elif op == "sub":
-                    r = wrap_i32(a - b)
-                elif op == "mul":
-                    r = wrap_i32(a * b)
-                elif op == "div_s":
-                    r = _div_s(a, b)
-                elif op == "div_u":
-                    if ub == 0:
-                        raise _Trap("div-by-zero")
-                    r = wrap_i32(ua // ub)
-                elif op == "rem_s":
-                    r = _rem_s(a, b)
-                elif op == "rem_u":
-                    if ub == 0:
-                        raise _Trap("div-by-zero")
-                    r = wrap_i32(ua % ub)
-                elif op == "and":
-                    r = wrap_i32(ua & ub)
-                elif op == "or":
-                    r = wrap_i32(ua | ub)
-                elif op == "xor":
-                    r = wrap_i32(ua ^ ub)
-                elif op == "shl":
-                    r = wrap_i32(ua << (ub % 32))
-                elif op == "shr_u":
-                    r = wrap_i32(ua >> (ub % 32))
-                elif op == "shr_s":
-                    r = wrap_i32(a >> (ub % 32))
-                elif op == "rotl":
-                    k = ub % 32
-                    r = wrap_i32((ua << k) | (ua >> ((32 - k) % 32)))
-                elif op == "rotr":
-                    k = ub % 32
-                    r = wrap_i32((ua >> k) | (ua << ((32 - k) % 32)))
-                elif op == "eq":
-                    r = int(a == b)
-                elif op == "ne":
-                    r = int(a != b)
-                elif op == "lt_s":
-                    r = int(a < b)
-                elif op == "lt_u":
-                    r = int(ua < ub)
-                elif op == "gt_s":
-                    r = int(a > b)
-                elif op == "gt_u":
-                    r = int(ua > ub)
-                elif op == "le_s":
-                    r = int(a <= b)
-                elif op == "le_u":
-                    r = int(ua <= ub)
-                elif op == "ge_s":
-                    r = int(a >= b)
-                elif op == "ge_u":
-                    r = int(ua >= ub)
-                else:  # pragma: no cover
-                    raise AssertionError(m)
-                push(r)
+                c = pop() & 0xFFFFFFFF
+                b = pop() & 0xFFFFFFFF
+                r = fn(_I32, pop() & 0xFFFFFFFF, b, c)
+            push(wrap_i32(r))
+        elif m in _TRAPPING:
+            b = pop()
+            a = pop()
+            if b == 0:
+                raise _Trap("div-by-zero")
+            push(_TRAPPING[m](a, b))
+        else:  # pragma: no cover
+            raise AssertionError(m)
         ip += 1
 
     # fallthrough exit

@@ -15,26 +15,104 @@ same value, which is what makes it a legal replacement target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import Callable, NamedTuple
 
-from .wat import CONTROL_MNEMONICS, Instr, Module, analyze_body
+from .wat import CONTROL_MNEMONICS, INSTRUCTIONS, Instr, Module, analyze_body
 
-# Pure operations eligible for DAG nodes and candidate vocabularies,
-# in canonical enumeration order. Keys are bare names; i32 is implied.
-PURE_OPS: dict[str, int] = {
-    "add": 2, "sub": 2, "mul": 2,
-    "and": 2, "or": 2, "xor": 2,
-    "shl": 2, "shr_s": 2, "shr_u": 2, "rotl": 2, "rotr": 2,
-    "eq": 2, "ne": 2,
-    "lt_s": 2, "lt_u": 2, "gt_s": 2, "gt_u": 2,
-    "le_s": 2, "le_u": 2, "ge_s": 2, "ge_u": 2,
-    "eqz": 1,
-    "select": 3,
+# --- i32 semantics ----------------------------------------------------------
+
+
+class Width(NamedTuple):
+    """Constants of one bit width, in the number type of the operands:
+    Python ints for scalar evaluation, numpy uint64 for batches."""
+
+    w: object
+    mask: object
+    sign: object
+    one: object
+
+
+@cache
+def width_constants(width: int, num=int) -> Width:
+    return Width(*(num(v) for v in (width, (1 << width) - 1, 1 << (width - 1), 1)))
+
+
+class OpSemantics(NamedTuple):
+    """`fn(k, *operands)` maps unsigned width-bit operands to the unsigned
+    result, with `k` the width's constants. It uses plain operators only, so
+    it runs unchanged on Python ints and on uint64 arrays (whose
+    intermediate values stay below 2**64 for widths up to 32). `smt` is the
+    SMT-LIB term at width 32 over the operand terms {a}, {b}, {c}."""
+
+    fn: Callable
+    smt: str
+
+
+def _shr_s(k, a, b):
+    s = b % k.w
+    return (((a ^ k.sign) >> s) - (k.sign >> s)) & k.mask
+
+
+def _rotl(k, a, b):
+    s = b % k.w
+    return ((a << s) | (a >> ((k.w - s) % k.w))) & k.mask
+
+
+def _rotr(k, a, b):
+    s = b % k.w
+    return ((a >> s) | (a << ((k.w - s) % k.w))) & k.mask
+
+
+def _bool32(pred: str) -> str:
+    return f"(ite {pred} #x00000001 #x00000000)"
+
+
+_COUNT32 = "(bvand {b} #x0000001f)"
+_BACK32 = f"(bvand (bvsub #x00000020 {_COUNT32}) #x0000001f)"
+
+# Every pure operation, once, in canonical enumeration order: these keys are
+# the DAG node ops and candidate vocabulary (i32 is implied). Signed
+# comparisons flip the sign bit so that the unsigned order applies.
+SEMANTICS: dict[str, OpSemantics] = {
+    "add": OpSemantics(lambda k, a, b: (a + b) & k.mask, "(bvadd {a} {b})"),
+    "sub": OpSemantics(lambda k, a, b: (a - b) & k.mask, "(bvsub {a} {b})"),
+    "mul": OpSemantics(lambda k, a, b: (a * b) & k.mask, "(bvmul {a} {b})"),
+    "and": OpSemantics(lambda k, a, b: a & b, "(bvand {a} {b})"),
+    "or": OpSemantics(lambda k, a, b: a | b, "(bvor {a} {b})"),
+    "xor": OpSemantics(lambda k, a, b: a ^ b, "(bvxor {a} {b})"),
+    "shl": OpSemantics(lambda k, a, b: (a << (b % k.w)) & k.mask,
+                       f"(bvshl {{a}} {_COUNT32})"),
+    "shr_s": OpSemantics(_shr_s, f"(bvashr {{a}} {_COUNT32})"),
+    "shr_u": OpSemantics(lambda k, a, b: a >> (b % k.w), f"(bvlshr {{a}} {_COUNT32})"),
+    "rotl": OpSemantics(_rotl, f"(bvor (bvshl {{a}} {_COUNT32}) (bvlshr {{a}} {_BACK32}))"),
+    "rotr": OpSemantics(_rotr, f"(bvor (bvlshr {{a}} {_COUNT32}) (bvshl {{a}} {_BACK32}))"),
+    "eq": OpSemantics(lambda k, a, b: (a == b) * k.one, _bool32("(= {a} {b})")),
+    "ne": OpSemantics(lambda k, a, b: (a != b) * k.one, _bool32("(distinct {a} {b})")),
+    "lt_s": OpSemantics(lambda k, a, b: ((a ^ k.sign) < (b ^ k.sign)) * k.one,
+                        _bool32("(bvslt {a} {b})")),
+    "lt_u": OpSemantics(lambda k, a, b: (a < b) * k.one, _bool32("(bvult {a} {b})")),
+    "gt_s": OpSemantics(lambda k, a, b: ((a ^ k.sign) > (b ^ k.sign)) * k.one,
+                        _bool32("(bvsgt {a} {b})")),
+    "gt_u": OpSemantics(lambda k, a, b: (a > b) * k.one, _bool32("(bvugt {a} {b})")),
+    "le_s": OpSemantics(lambda k, a, b: ((a ^ k.sign) <= (b ^ k.sign)) * k.one,
+                        _bool32("(bvsle {a} {b})")),
+    "le_u": OpSemantics(lambda k, a, b: (a <= b) * k.one, _bool32("(bvule {a} {b})")),
+    "ge_s": OpSemantics(lambda k, a, b: ((a ^ k.sign) >= (b ^ k.sign)) * k.one,
+                        _bool32("(bvsge {a} {b})")),
+    "ge_u": OpSemantics(lambda k, a, b: (a >= b) * k.one, _bool32("(bvuge {a} {b})")),
+    "eqz": OpSemantics(lambda k, a: (a == 0) * k.one, _bool32("(= {a} #x00000000)")),
+    "select": OpSemantics(lambda k, a, b, c: b ^ ((a ^ b) & ((c != 0) * k.mask)),
+                          "(ite (distinct {c} #x00000000) {a} {b})"),
 }
 
-TRAP_OPS = frozenset(["div_s", "div_u", "rem_s", "rem_u"])
-
-OP_TO_MNEMONIC = {op: ("select" if op == "select" else f"i32.{op}") for op in PURE_OPS}
+OP_TO_MNEMONIC = {op: ("select" if op == "select" else f"i32.{op}") for op in SEMANTICS}
 MNEMONIC_TO_OP = {v: k for k, v in OP_TO_MNEMONIC.items()}
+
+# Arity of each pure operation, in canonical order.
+PURE_OPS: dict[str, int] = {op: INSTRUCTIONS[mn][1] for op, mn in OP_TO_MNEMONIC.items()}
+
+TRAP_OPS = frozenset(["div_s", "div_u", "rem_s", "rem_u"])
 
 
 # --- standalone DAG model ---------------------------------------------------
@@ -104,10 +182,6 @@ class Dag:
                 raise ValueError("operands must refer to earlier nodes")
         if not (0 <= self.root < len(self.nodes)):
             raise ValueError("root out of range")
-
-    @property
-    def op_count(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == K_OP)
 
     def key(self) -> str:
         """Canonical serialization, stable across processes."""

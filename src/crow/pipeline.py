@@ -262,7 +262,7 @@ class VariantReport:
 
 @dataclass
 class DiversifyResult:
-    exploration: list[BlockSynthesis]
+    exploration: list[BlockSynthesis] | None
     generation: GenerationResult
     reports: list[VariantReport]
     original_outcome: Outcome | None
@@ -295,6 +295,17 @@ def _trace_task(args):
 def diversify(m: Module, cfg: RunConfig, do_trace: bool = True) -> DiversifyResult:
     exploration = explore_module(m, cfg)
     replacements = {r.block.id: r.replacements for r in exploration}
+    return report_variants(m, replacements, cfg, do_trace, exploration)
+
+
+def report_variants(
+    m: Module, replacements: dict[str, list[Replacement]], cfg: RunConfig,
+    do_trace: bool = False, exploration: list[BlockSynthesis] | None = None,
+) -> DiversifyResult:
+    """Generates the variants and reports on each one. With `do_trace`, runs
+    the entry on the original and every variant and drops variants whose
+    outcome differs. `exploration` is None when the replacements come from
+    a store."""
     gen = generate_variants(m, replacements, cfg)
     reports = [_variant_report(m, gen, v) for v in gen.variants]
 
@@ -369,7 +380,7 @@ def manifest_to_json(
                     report.normalized_dt_dyn >= SIGNIFICANT_DYNAMIC
                 )
         entries.append(entry)
-    return {
+    manifest = {
         "format": MANIFEST_FORMAT,
         "tool_version": __version__,
         "original": {
@@ -377,7 +388,18 @@ def manifest_to_json(
             "digest": content_digest(print_module(m)),
         },
         "entry": cfg.invoke_name,
-        "exploration": {
+        "generation": {
+            "plans_total": result.generation.plans_total,
+            "truncated": result.generation.truncated,
+            "dropped_duplicates": result.generation.dropped_duplicates,
+            "dropped_overlaps": dict(sorted(result.generation.resolved.dropped.items())),
+            "outcome_mismatches": result.outcome_mismatches,
+            "emitted": len(result.reports),
+        },
+        "variants": entries,
+    }
+    if exp is not None:  # a run from a store leaves exploration to its explore
+        manifest["exploration"] = {
             "blocks_found": len(exp),
             "budget_exhausted": any(r.stopped == "budget" for r in exp),
             "work_units": sum(r.work_units for r in exp),
@@ -390,17 +412,8 @@ def manifest_to_json(
                 }
                 for r in exp
             },
-        },
-        "generation": {
-            "plans_total": result.generation.plans_total,
-            "truncated": result.generation.truncated,
-            "dropped_duplicates": result.generation.dropped_duplicates,
-            "dropped_overlaps": dict(sorted(result.generation.resolved.dropped.items())),
-            "outcome_mismatches": result.outcome_mismatches,
-            "emitted": len(result.reports),
-        },
-        "variants": entries,
-    }
+        }
+    return manifest
 
 
 def dump_json(data: dict) -> str:

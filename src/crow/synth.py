@@ -375,8 +375,7 @@ def infer_constant(b: PureBlock, cfg: SynthesisConfig) -> Candidate | None:
         vals = np.atleast_1d(batch_eval(b.dag, prefilter_vectors(b, cfg), 32))
         if not bool(np.all(vals == vals[0])):
             return None
-        v = int(vals[0])
-        v = v - 2**32 if v > 2**31 - 1 else v
+        v = wrap_i32(int(vals[0]))
     return Candidate(Dag((DagNode(K_CONST, value=v),), 0), -1)
 
 

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from crow.emit import dag_to_function, emit_dag
 from crow.equiv import CheckerConfig, eval_dag
 from crow.interp import instantiate, invoke
-from crow.ir import PureBlock, extract_module_blocks
+from crow.ir import PURE_OPS, PureBlock, extract_module_blocks
 from crow.metrics import dt_static
 from crow.synth import Candidate, Replacement, SynthesisConfig, Vocabulary, synthesize_replacements
 from crow.variants import (
@@ -25,6 +25,7 @@ from crow.variants import (
 from crow.wat import Module, parse_module, print_module, validate
 
 from dagutil import C, D, IN
+from semantics_spec import corner_values, spec, to_signed
 
 FAST = CheckerConfig(samples=512)
 
@@ -371,22 +372,36 @@ def test_emit_dag_stacklike():
     ]
 
 
+_i32_args = st.one_of(
+    st.sampled_from([to_signed(v, 32) for v in corner_values(32)]),
+    st.integers(-(2**31), 2**31 - 1),
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(-(2**31), 2**31 - 1), st.integers(-(2**31), 2**31 - 1))
-def test_interpreter_matches_evaluator_on_blocks(x, y):
-    dags = [
-        D(("mul", IN(0), C(2))),
-        D(("add", ("shl", IN(0), C(1)), IN(1))),
-        D(("select", IN(0), IN(1), ("gt_s", IN(0), IN(1)))),
-        D(("rotl", IN(0), IN(1))),
-        D(("shr_s", IN(0), ("and", IN(1), C(31)))),
+@given(_i32_args, _i32_args, _i32_args)
+def test_interpreter_matches_evaluator_on_blocks(x, y, z):
+    # every pure op alone, also against the spec, then a few compositions
+    cases = [
+        (D((op, *(IN(i) for i in range(arity)))),
+         to_signed(spec(op, (x, y, z)[:arity], 32), 32))
+        for op, arity in PURE_OPS.items()
     ]
-    for dag in dags:
-        f = dag_to_function(dag, 2)
+    cases += [
+        (D(tree), None) for tree in (
+            ("mul", IN(0), C(2)),
+            ("add", ("shl", IN(0), C(1)), IN(1)),
+            ("select", IN(0), IN(1), ("gt_s", IN(0), IN(1))),
+            ("shr_s", IN(0), ("and", IN(1), C(31))),
+        )
+    ]
+    for dag, expected in cases:
+        f = dag_to_function(dag, 3)
         m = Module(functions=(f,), exports={"f": 0})
         assert validate(m) == []
-        outcome, _ = invoke(instantiate(m), "f", [x, y])
-        assert outcome.value == eval_dag(dag, (x, y))
+        outcome, _ = invoke(instantiate(m), "f", [x, y, z])
+        assert outcome.value == eval_dag(dag, (x, y, z))
+        assert expected is None or outcome.value == expected
 
 
 def test_extracted_blocks_match_interpreter(mul_add_module):

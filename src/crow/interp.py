@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .ir import OP_TO_MNEMONIC, PURE_OPS, SEMANTICS, width_constants
-from .wat import INT32_MIN, Instr, Module, validate, wrap_i32
+from .wat import INT32_MAX, INT32_MIN, Instr, Module, validate, wrap_i32
 
 DEFAULT_FUEL = 50_000_000
 
@@ -337,9 +337,12 @@ def read_trace(source) -> tuple[Trace, Outcome]:
             if len(parts) != 2:
                 raise TraceFormatError(f"malformed event: {ln!r}")
             try:
-                trace.append(TraceEvent(parts[0], int(parts[1])))
+                value = int(parts[1])
             except ValueError:
                 raise TraceFormatError(f"malformed event value: {ln!r}") from None
+            if not INT32_MIN <= value <= INT32_MAX:
+                raise TraceFormatError(f"event value outside i32: {ln!r}")
+            trace.append(TraceEvent(parts[0], value))
         elif parts[0] == "result":
             outcome = Outcome.result(int(parts[1]) if len(parts) > 1 else None)
         elif parts[0] == "trap":

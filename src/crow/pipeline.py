@@ -13,11 +13,11 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import __version__, metrics
 from .equiv import CheckerConfig
 from .interp import DEFAULT_FUEL, Outcome, Trace, instantiate, invoke
 from .ir import Dag, DagNode, extract_module_blocks
-from .metrics import dt_dyn, dt_static, normalized_dt_dyn, tokenize
+from .metrics import TokenSeq, dt_dyn, tokenize
 from .synth import (
     BlockSynthesis,
     Candidate,
@@ -197,12 +197,29 @@ RANK_OVERSAMPLE = 4
 
 
 @dataclass
+class StaticMeasure:
+    """`dt_static` and token count of variants against one original, which is
+    tokenized once; each distinct variant text is measured once."""
+
+    original: TokenSeq
+    seen: dict[str, tuple[int, int]] = field(default_factory=dict)
+
+    def __call__(self, v: Variant) -> tuple[int, int]:
+        if v.digest not in self.seen:
+            toks = tokenize(v.module)
+            # `metrics.dtw` is looked up per call, so wrappers of it see the call
+            self.seen[v.digest] = (metrics.dtw(self.original, toks).cost, len(toks))
+        return self.seen[v.digest]
+
+
+@dataclass
 class GenerationResult:
     resolved: ReplacementSet
     variants: list[Variant]
     plans_total: int
     truncated: bool
     dropped_duplicates: int
+    static: StaticMeasure  # against the original; holds every ranked variant
 
 
 def generate_variants(
@@ -219,8 +236,9 @@ def generate_variants(
     limit = cfg.max_variants * RANK_OVERSAMPLE if cfg.rank_by_diff else cfg.max_variants
     plans, truncated = enumerate_combinations(resolved, limit=limit, seed=cfg.seed)
     variants = [make_variant(m, resolved, p) for p in plans]
+    static = StaticMeasure(tokenize(m))
     if cfg.rank_by_diff:
-        variants.sort(key=lambda v: -dt_static(m, v.module))
+        variants.sort(key=lambda v: -static(v)[0])
         truncated = truncated or len(variants) > cfg.max_variants
     unique = dedup_variants(variants, taken={print_module(m)})
     dropped = len(variants) - len(unique)
@@ -231,6 +249,7 @@ def generate_variants(
         plans_total=total,
         truncated=truncated,
         dropped_duplicates=dropped,
+        static=static,
     )
 
 
@@ -270,16 +289,16 @@ class DiversifyResult:
     outcome_mismatches: int
 
 
-def _variant_report(m: Module, gen: GenerationResult, v: Variant) -> VariantReport:
+def _variant_report(gen: GenerationResult, v: Variant) -> VariantReport:
     chosen = [
         gen.resolved.replacements[bid][idx] for bid, idx in v.plan.choices.items()
     ]
-    n_orig = max(len(tokenize(m)), 1)
-    ratio = len(tokenize(v.module)) / n_orig
+    cost, n_tokens = gen.static(v)
+    ratio = n_tokens / max(len(gen.static.original), 1)
     return VariantReport(
         variant=v,
         verified=all(r.tier == "verified" for r in chosen),
-        dt_static=dt_static(m, v.module),
+        dt_static=cost,
         token_ratio=ratio,
         size_flag=not (SIZE_ENVELOPE[0] <= ratio <= SIZE_ENVELOPE[1]),
     )
@@ -307,7 +326,7 @@ def report_variants(
     outcome differs. `exploration` is None when the replacements come from
     a store."""
     gen = generate_variants(m, replacements, cfg)
-    reports = [_variant_report(m, gen, v) for v in gen.variants]
+    reports = [_variant_report(gen, v) for v in gen.variants]
 
     original_outcome = None
     original_trace = None
@@ -334,7 +353,7 @@ def report_variants(
             report.trace = trace
             report.dt_dyn = dt_dyn(original_trace, trace)
             if len(original_trace) > 0:
-                report.normalized_dt_dyn = normalized_dt_dyn(original_trace, trace)
+                report.normalized_dt_dyn = report.dt_dyn / len(original_trace)
             report.trace_identical = report.dt_dyn == 0
             kept.append(report)
         reports = kept

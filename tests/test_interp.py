@@ -281,6 +281,16 @@ def test_read_rejects_garbage():
             read_trace(io.StringIO(bad))
 
 
+def test_read_rejects_event_values_outside_i32():
+    for v in (2**31, -(2**31) - 1, 2**70):
+        with pytest.raises(TraceFormatError, match="outside i32"):
+            read_trace(io.StringIO(f"# crow-trace v1\npush {v}\nresult\n"))
+    edge = "# crow-trace v1\npush 2147483647\npop -2147483648\nresult\n"
+    assert read_trace(io.StringIO(edge))[0] == [
+        TraceEvent("push", 2**31 - 1), TraceEvent("pop", -(2**31))
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(st.sampled_from(["push", "pop"]), st.integers(-(2**31), 2**31 - 1))),

@@ -1,12 +1,21 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from crow.interp import TraceEvent
-from crow.metrics import dt_dyn, dt_static, dtw, normalized_dt_dyn, tokenize
-from crow.wat import parse_module
+from crow.metrics import (
+    cell_dtype,
+    dt_dyn,
+    dt_static,
+    dtw,
+    normalized_dt_dyn,
+    tokenize,
+    trace_tokens,
+)
+from crow.wat import INT32_MAX, INT32_MIN, parse_module
 
 from dtw_oracle import dtw_diagonal, dtw_reference
 
@@ -145,3 +154,88 @@ def test_normalized_dt_dyn():
     assert normalized_dt_dyn(t1, t1) == 0.0
     with pytest.raises(ValueError):
         normalized_dt_dyn([], t1)
+
+
+# --- integer event codes ----------------------------------------------------------
+
+corner_values = st.sampled_from([INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1, INT32_MAX])
+events = st.builds(
+    TraceEvent,
+    st.sampled_from(["push", "pop"]),
+    st.one_of(corner_values, st.integers(INT32_MIN, INT32_MAX)),
+)
+traces = st.lists(events, max_size=12)
+
+
+def _event_strings(trace):
+    return [f"{ev.kind} {ev.value}" for ev in trace]
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces, traces)
+def test_dt_dyn_matches_reference_over_event_strings(t1, t2):
+    assert dt_dyn(t1, t2) == dtw_reference(_event_strings(t1), _event_strings(t2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(corner_values, min_size=1, max_size=6), st.data())
+def test_dt_dyn_push_and_pop_of_one_value_differ(values, data):
+    n = len(values)
+    kinds = data.draw(st.lists(st.sampled_from(["push", "pop"]), min_size=n, max_size=n))
+    t1 = [TraceEvent(k, v) for k, v in zip(kinds, values)]
+    t2 = [TraceEvent("pop" if k == "push" else "push", v) for k, v in zip(kinds, values)]
+    assert dt_dyn(t1, t2) == dtw_reference(_event_strings(t1), _event_strings(t2)) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(events, events)
+def test_trace_codes_equal_iff_events_equal(e1, e2):
+    c1, c2 = trace_tokens([e1, e2])
+    assert (c1 == c2) == (e1 == e2)
+
+
+def test_trace_codes_of_corner_events_are_distinct():
+    evs = [TraceEvent(k, v) for k in ("push", "pop") for v in
+           (INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1, INT32_MAX)]
+    codes = trace_tokens(evs)
+    assert codes.dtype == np.int64 and len(set(codes.tolist())) == len(evs)
+    assert trace_tokens([]).shape == (0,)
+
+
+@pytest.mark.parametrize("n,m", [(3, 7), (7, 3), (5, 5), (1, 9), (9, 1)])
+def test_dtw_same_cost_on_codes_and_strings(n, m):
+    import random
+
+    rng = random.Random(n * 31 + m)
+    codes = lambda seq: np.array([ord(t) for t in seq], dtype=np.int64)
+    for _ in range(50):
+        a = [rng.choice("ABC") for _ in range(n)]
+        b = [rng.choice("ABC") for _ in range(m)]
+        got = dtw(codes(a), codes(b))
+        assert got == dtw(a, b)
+        assert got.cost == dtw_reference(a, b)
+        assert (got.len_a, got.len_b) == (n, m)
+
+
+def test_dtw_empty_code_arrays():
+    empty, three = np.zeros(0, dtype=np.int64), np.array([1, 2, 3], dtype=np.int64)
+    assert dtw(empty, empty) == dtw([], [])
+    assert dtw(empty, three) == dtw([], list("ABC"))
+    assert dtw(three, empty) == dtw(list("ABC"), [])
+    assert (dtw(three, empty).len_a, dtw(three, empty).len_b) == (3, 0)
+
+
+def test_cell_dtype_holds_every_value():
+    """Row values stay within +-(n + m), so int32 serves below 2**31 and
+    int64 above; checked at the boundary without allocating."""
+    for n, m in [(1, 1), (2**30, 2**30 - 1), (2**31 - 2, 1), (2**30, 2**30), (2**40, 3)]:
+        info = np.iinfo(cell_dtype(n, m))
+        assert info.min <= -(n + m) and n + m <= info.max
+    assert cell_dtype(2**31 - 2, 1) is np.int32
+    assert cell_dtype(2**31 - 1, 1) is np.int64
+
+
+def test_dtw_cells_reach_the_border_value():
+    """All-mismatch pairs drive the cost to max(n, m), the largest cell."""
+    for n, m in [(1, 1), (4, 9), (9, 4), (300, 17)]:
+        assert dtw(["x"] * n, ["y"] * m).cost == max(n, m)

@@ -89,3 +89,56 @@ def test_diversify_reports_are_conserved(mul_add_module):
         assert rep.dt_dyn is not None
         assert rep.trace_identical == (rep.dt_dyn == 0)
         assert 0.5 <= rep.token_ratio <= 2.0 or rep.size_flag
+
+
+def _count_dtw_calls(monkeypatch):
+    """Wraps `crow.metrics.dtw`, counting static (token list) and dynamic
+    (event code array) calls."""
+    import numpy as np
+
+    import crow.metrics
+
+    calls = {"static": 0, "dynamic": 0}
+    real = crow.metrics.dtw
+
+    def counted(a, b):
+        calls["dynamic" if isinstance(a, np.ndarray) else "static"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(crow.metrics, "dtw", counted)
+    return calls
+
+
+def test_report_variants_runs_one_dtw_of_each_kind_per_variant(mul_add_module, monkeypatch):
+    from crow.pipeline import report_variants
+
+    results = explore_module(mul_add_module, FAST)
+    replacements = {r.block.id: r.replacements for r in results}
+    calls = _count_dtw_calls(monkeypatch)
+    result = report_variants(mul_add_module, replacements, FAST, do_trace=True)
+    assert result.reports and result.outcome_mismatches == 0
+    assert calls == {"static": len(result.reports), "dynamic": len(result.reports)}
+    n = len(result.original_trace)
+    for rep in result.reports:
+        assert rep.normalized_dt_dyn == rep.dt_dyn / n
+
+
+def test_rank_by_diff_measures_each_variant_once(mul_add_module, monkeypatch):
+    import dataclasses
+
+    from crow.pipeline import report_variants
+
+    cfg = dataclasses.replace(FAST, rank_by_diff=True, max_variants=6)
+    results = explore_module(mul_add_module, FAST)
+    replacements = {r.block.id: r.replacements for r in results}
+    calls = _count_dtw_calls(monkeypatch)
+    ranked = generate_variants(mul_add_module, replacements, cfg)
+    ranking = dict(calls)
+    assert ranking["static"] > 0 and ranking["dynamic"] == 0
+    result = report_variants(mul_add_module, replacements, cfg)
+    assert calls["static"] == 2 * ranking["static"]
+    assert [r.variant.digest for r in result.reports] == [v.digest for v in ranked.variants]
+    from crow.metrics import dt_static
+
+    for rep in result.reports:
+        assert rep.dt_static == dt_static(mul_add_module, rep.variant.module)

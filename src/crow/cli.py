@@ -182,11 +182,12 @@ def _cmd_generate(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         raise _CliError(EXIT_INPUT, f"{args.store}: {e}")
     try:
-        replacements = replacements_from_store(m, store)
+        blocks, replacements = replacements_from_store(m, store)
     except StoreMismatchError as e:
         raise _CliError(EXIT_STORE, str(e))
     outdir = Path(args.output)
-    files = write_artifacts(outdir, m, cfg, report_variants(m, replacements, cfg), args.module)
+    result = report_variants(m, blocks, replacements, cfg)
+    files = write_artifacts(outdir, m, cfg, result, args.module)
     print(f"{len(files)} unique variant(s) -> {outdir}")
     return EXIT_OK
 

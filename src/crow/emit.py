@@ -56,11 +56,6 @@ def emit_dag(dag: Dag) -> list[Instr]:
     return out
 
 
-def dag_to_function(dag: Dag, n_inputs: int) -> FuncDef:
-    """Wraps a DAG as a function taking its inputs as parameters."""
-    return FuncDef(params=n_inputs, results=1, locals=0, body=tuple(emit_dag(dag)))
-
-
 def emit_region(
     ir: RegionIR, substitutions: Substitutions, temp_base: int
 ) -> tuple[list[Instr], int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ir import (
-    Dag, K_CONST, K_INPUT, K_OP, PURE_OPS, SEMANTICS, PureBlock, Width, width_constants,
+    Dag, K_CONST, K_INPUT, K_OP, SEMANTICS, PureBlock, Width, width_constants,
 )
 
 TIER_VERIFIED = "verified"
@@ -88,11 +88,6 @@ def _evaluate(dag: Dag, leaves, k: Width):
         else:
             vals.append(SEMANTICS[n.op].fn(k, *(vals[o] for o in n.operands)))
     return vals[dag.root]
-
-
-def scalar_op(op: str, a: int, b: int, c: int, width: int) -> int:
-    """One operator over unsigned width-bit values; returns unsigned."""
-    return SEMANTICS[op].fn(width_constants(width), *(a, b, c)[: PURE_OPS[op]])
 
 
 def eval_dag(dag: Dag, env, width: int = 32) -> int:

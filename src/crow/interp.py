@@ -321,6 +321,16 @@ def write_trace(trace: Trace, outcome: Outcome, sink, entry: str = "main") -> No
     sink.write(f"{outcome}\n")
 
 
+def _i32_field(token: str, ln: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise TraceFormatError(f"malformed value: {ln!r}") from None
+    if not INT32_MIN <= value <= INT32_MAX:
+        raise TraceFormatError(f"value outside i32: {ln!r}")
+    return value
+
+
 def read_trace(source) -> tuple[Trace, Outcome]:
     lines = [ln.rstrip("\n") for ln in source]
     if not lines or not lines[0].startswith(TRACE_HEADER):
@@ -332,22 +342,16 @@ def read_trace(source) -> tuple[Trace, Outcome]:
             continue
         if outcome is not None:
             raise TraceFormatError(f"content after terminator: {ln!r}")
-        parts = ln.split()
-        if parts[0] in ("push", "pop"):
-            if len(parts) != 2:
+        kind, *rest = ln.split()
+        if kind in ("push", "pop"):
+            if len(rest) != 1:
                 raise TraceFormatError(f"malformed event: {ln!r}")
-            try:
-                value = int(parts[1])
-            except ValueError:
-                raise TraceFormatError(f"malformed event value: {ln!r}") from None
-            if not INT32_MIN <= value <= INT32_MAX:
-                raise TraceFormatError(f"event value outside i32: {ln!r}")
-            trace.append(TraceEvent(parts[0], value))
-        elif parts[0] == "result":
-            outcome = Outcome.result(int(parts[1]) if len(parts) > 1 else None)
-        elif parts[0] == "trap":
-            outcome = Outcome.trap(" ".join(parts[1:]))
-        elif parts[0] == "fuel-exhausted":
+            trace.append(TraceEvent(kind, _i32_field(rest[0], ln)))
+        elif kind == "result" and len(rest) <= 1:
+            outcome = Outcome.result(_i32_field(rest[0], ln) if rest else None)
+        elif kind == "trap" and rest:
+            outcome = Outcome.trap(" ".join(rest))
+        elif kind == "fuel-exhausted" and not rest:
             outcome = Outcome.fuel_exhausted()
         else:
             raise TraceFormatError(f"unrecognized line: {ln!r}")

@@ -98,11 +98,3 @@ def dt_static(m1: Module, m2: Module) -> int:
 def dt_dyn(t1: Trace, t2: Trace) -> int:
     """DTW cost between two stack-operation traces, over event codes."""
     return dtw(trace_tokens(t1), trace_tokens(t2)).cost
-
-
-def normalized_dt_dyn(t_orig: Trace, t_var: Trace) -> float:
-    """dt_dyn scaled by the original trace's length, for cross-program
-    comparison; variants at or above 0.8 diversify execution significantly."""
-    if len(t_orig) == 0:
-        raise ValueError("original trace is empty")
-    return dt_dyn(t_orig, t_var) / len(t_orig)

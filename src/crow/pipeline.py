@@ -3,8 +3,11 @@
 The replacement store and the variant manifest are JSON, dumped with sorted
 keys; together with seeded sampling and work-unit (not wall-clock) budget
 accounting this makes whole runs byte-reproducible for a fixed seed, at any
-worker count. Per-block synthesis fans out to a process pool and results are
-merged back in canonical block order, so scheduling cannot reorder anything.
+worker count. Per-block synthesis and per-variant tracing fan out to a
+process pool (a variant travels as its emitted `Module`) and results come back
+in task order, so scheduling cannot reorder anything. Each command extracts
+the module's blocks once and passes them from exploration, or from the store,
+into generation.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from . import __version__, metrics
 from .equiv import CheckerConfig
 from .interp import DEFAULT_FUEL, Outcome, Trace, instantiate, invoke
-from .ir import Dag, DagNode, extract_module_blocks
+from .ir import Dag, DagNode, PureBlock, extract_module_blocks
 from .metrics import TokenSeq, dt_dyn, tokenize
 from .synth import (
     BlockSynthesis,
@@ -72,6 +75,15 @@ class RunConfig:
 # --- exploration ----------------------------------------------------------------
 
 
+def _fan_out(fn, tasks: list, jobs: int) -> list:
+    """`fn` over `tasks`, results in task order: on a pool of `jobs` worker
+    processes when there is more than one of each, else in this process."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _synth_task(args) -> BlockSynthesis:
     block, synth_cfg, checker_cfg, budget = args
     return synthesize_replacements(block, synth_cfg, checker_cfg, budget_seconds=budget)
@@ -84,10 +96,7 @@ def explore_module(m: Module, cfg: RunConfig) -> list[BlockSynthesis]:
     eligible = [b for b in blocks if b.node_count <= cfg.synthesis.max_block_nodes]
     per_block = cfg.timeout_seconds / max(len(eligible), 1)
     tasks = [(b, cfg.synthesis, cfg.checker, per_block) for b in blocks]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(_synth_task, tasks))
-    return [_synth_task(t) for t in tasks]
+    return _fan_out(_synth_task, tasks, cfg.jobs)
 
 
 # --- store serialization -----------------------------------------------------------
@@ -164,19 +173,23 @@ class StoreMismatchError(ValueError):
     """The store was produced from a different module."""
 
 
-def replacements_from_store(m: Module, store: dict) -> dict[str, list[Replacement]]:
-    """Pairs stored replacements with blocks re-extracted from the module;
-    any disagreement means the store belongs to a different module."""
+def replacements_from_store(
+    m: Module, store: dict
+) -> tuple[list[PureBlock], dict[str, list[Replacement]]]:
+    """Pairs stored replacements with blocks re-extracted from the module and
+    returns both; any disagreement means the store belongs to a different
+    module."""
     if store.get("format") != STORE_FORMAT:
         raise StoreMismatchError("not a replacement store")
     digest = content_digest(print_module(m))
     if store.get("module_digest") != digest:
         raise StoreMismatchError("store/module digest mismatch")
-    blocks = {b.id: b for b in extract_module_blocks(m)}
+    blocks = extract_module_blocks(m)
+    ids = {b.id for b in blocks}
     out: dict[str, list[Replacement]] = {}
     for entry in store["blocks"]:
         bid = entry["id"]
-        if bid not in blocks:
+        if bid not in ids:
             raise StoreMismatchError(f"store references unknown block {bid}")
         out[bid] = [
             Replacement(
@@ -188,7 +201,7 @@ def replacements_from_store(m: Module, store: dict) -> dict[str, list[Replacemen
             )
             for rep in entry["replacements"]
         ]
-    return out
+    return blocks, out
 
 
 # --- generation ---------------------------------------------------------------------
@@ -223,9 +236,11 @@ class GenerationResult:
 
 
 def generate_variants(
-    m: Module, replacements: dict[str, list[Replacement]], cfg: RunConfig
+    m: Module, blocks: list[PureBlock], replacements: dict[str, list[Replacement]],
+    cfg: RunConfig,
 ) -> GenerationResult:
-    blocks = extract_module_blocks(m)
+    """Variants of `m` from the replacements of its `blocks`, as extracted
+    by exploration or by `replacements_from_store`."""
     if cfg.strict:
         replacements = {
             bid: [r for r in reps if r.tier == "verified"]
@@ -305,27 +320,27 @@ def _variant_report(gen: GenerationResult, v: Variant) -> VariantReport:
 
 
 def _trace_task(args):
-    text, entry, invoke_args, fuel = args
-    from .wat import parse_module
-
-    return trace_module(parse_module(text), entry, list(invoke_args), fuel)
+    module, entry, invoke_args, fuel = args
+    return trace_module(module, entry, list(invoke_args), fuel)
 
 
 def diversify(m: Module, cfg: RunConfig, do_trace: bool = True) -> DiversifyResult:
     exploration = explore_module(m, cfg)
+    blocks = [r.block for r in exploration]
     replacements = {r.block.id: r.replacements for r in exploration}
-    return report_variants(m, replacements, cfg, do_trace, exploration)
+    return report_variants(m, blocks, replacements, cfg, do_trace, exploration)
 
 
 def report_variants(
-    m: Module, replacements: dict[str, list[Replacement]], cfg: RunConfig,
-    do_trace: bool = False, exploration: list[BlockSynthesis] | None = None,
+    m: Module, blocks: list[PureBlock], replacements: dict[str, list[Replacement]],
+    cfg: RunConfig, do_trace: bool = False,
+    exploration: list[BlockSynthesis] | None = None,
 ) -> DiversifyResult:
     """Generates the variants and reports on each one. With `do_trace`, runs
-    the entry on the original and every variant and drops variants whose
-    outcome differs. `exploration` is None when the replacements come from
-    a store."""
-    gen = generate_variants(m, replacements, cfg)
+    the entry on the original and every variant (each traced from its
+    emitted `Module`) and drops variants whose outcome differs.
+    `exploration` is None when the replacements come from a store."""
+    gen = generate_variants(m, blocks, replacements, cfg)
     reports = [_variant_report(gen, v) for v in gen.variants]
 
     original_outcome = None
@@ -336,13 +351,9 @@ def report_variants(
             m, cfg.invoke_name, list(cfg.invoke_args), cfg.fuel
         )
         tasks = [
-            (r.variant.text, cfg.invoke_name, cfg.invoke_args, cfg.fuel) for r in reports
+            (r.variant.module, cfg.invoke_name, cfg.invoke_args, cfg.fuel) for r in reports
         ]
-        if cfg.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                traced = list(pool.map(_trace_task, tasks))
-        else:
-            traced = [_trace_task(t) for t in tasks]
+        traced = _fan_out(_trace_task, tasks, cfg.jobs)
         kept = []
         for report, (outcome, trace) in zip(reports, traced):
             if outcome != original_outcome:

@@ -309,26 +309,6 @@ def _self_test(b: PureBlock, max_size: int):
     return lambda dag, size: size == ops and _reachable_key(dag) == key
 
 
-def enumerate_candidates(b: PureBlock, cfg: SynthesisConfig):
-    """Ordered candidate stream: sizes 1..max over the vocabulary, excluding
-    anything structurally identical to the block's own DAG."""
-    errs = cfg.validate()
-    if errs:
-        raise ConfigError("; ".join(errs))
-    leaves = _leaves_for(b, cfg)
-    stream = _Stream(len(leaves), cfg.vocabulary.ops)
-    is_self = _self_test(b, cfg.max_size)
-    index = 0
-    for _ in range(cfg.max_size):
-        k = stream.grow()
-        for pos in range(stream.counts[k]):
-            dag = _tree_to_dag(stream.tree(k, pos), leaves)
-            if is_self(dag, k):
-                continue
-            yield Candidate(dag, index)
-            index += 1
-
-
 # --- prefiltering ----------------------------------------------------------------
 
 
@@ -352,17 +332,6 @@ def prefilter_vectors(b: PureBlock, cfg: SynthesisConfig):
         np.concatenate([np.array(col, dtype=np.uint64), rand[j]])
         for j, col in enumerate(cols)
     ]
-
-
-def prefilter(b: PureBlock, c: Candidate, vectors) -> bool:
-    """True iff block and candidate agree on every vector. Never rejects a
-    truly equivalent candidate: agreement is implied by equivalence."""
-    dag = c.dag if isinstance(c, Candidate) else c
-    if not vectors:
-        return equiv.eval_dag(b.dag, (), 32) == equiv.eval_dag(dag, (), 32)
-    lv = batch_eval(b.dag, vectors, 32)
-    rv = np.atleast_1d(batch_eval(dag, vectors, 32))
-    return bool(np.all(lv == rv))
 
 
 def infer_constant(b: PureBlock, cfg: SynthesisConfig) -> Candidate | None:

@@ -1,10 +1,12 @@
 """Reference candidate loop the batched synthesis is checked against.
 
-`synthesize_reference` is the tree-at-a-time loop: the recursive generators
-below build every canonical tree, each tree is keyed as a string to skip the
-block's own, evaluated with one operator call per node, and charged its work
-units candidate by candidate. Production must return the same
-`BlockSynthesis`, field for field.
+`reference_stream` is the canonical candidate order (the order tests in
+test_synth check it): the recursive generators below build every canonical
+tree, and each tree is keyed as a string to skip the block's own.
+`synthesize_reference` is the tree-at-a-time loop over that stream: each tree
+is evaluated with one operator call per node and charged its work units
+candidate by candidate. Production must return the same `BlockSynthesis`,
+field for field.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import numpy as np
 from crow import equiv
 from crow.emit import emit_dag
 from crow.equiv import InfeasibleDomainError, batch_apply, batch_eval
-from crow.ir import PURE_OPS, _reachable_key
+from crow.ir import PURE_OPS, SEMANTICS, _reachable_key, width_constants
 from crow.synth import (
     WORK_UNITS_PER_SECOND,
     BlockSynthesis,
@@ -69,8 +71,20 @@ def _tree_eval_scalar(tree, leaves) -> int:
     if isinstance(tree, int):
         return leaves[tree][1] & 0xFFFFFFFF
     args = [_tree_eval_scalar(t, leaves) for t in tree[1:]]
-    args += [0] * (3 - len(args))
-    return equiv.scalar_op(tree[0], args[0], args[1], args[2], 32)
+    return SEMANTICS[tree[0]].fn(width_constants(32), *args)
+
+
+def reference_stream(b, cfg):
+    """The canonical candidate stream as (tree, index) pairs: sizes
+    1..max_size, the block's own tree skipped without taking an index."""
+    leaves = _leaves_for(b, cfg)
+    self_key = _reachable_key(b.dag)
+    index = 0
+    for k in range(1, cfg.max_size + 1):
+        for tree in _trees(k, len(leaves), cfg.vocabulary.ops):
+            if _tree_key(tree, leaves) != self_key:
+                yield tree, index
+                index += 1
 
 
 def synthesize_reference(b, cfg, checker, budget_seconds=None) -> BlockSynthesis:
@@ -141,12 +155,7 @@ def synthesize_reference(b, cfg, checker, budget_seconds=None) -> BlockSynthesis
         if not consider(inferred.dag, None, -1):
             return result
 
-    index = 0
-    for k in range(1, cfg.max_size + 1):
-        for tree in _trees(k, len(leaves), cfg.vocabulary.ops):
-            if _tree_key(tree, leaves) == self_key:
-                continue
-            if not consider(None, tree, index):
-                return result
-            index += 1
+    for tree, index in reference_stream(b, cfg):
+        if not consider(None, tree, index):
+            return result
     return result

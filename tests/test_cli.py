@@ -54,6 +54,46 @@ def test_generate_from_store(tmp_path, module_file):
         assert entry["dt_static"] > 0
 
 
+def _count_parses_and_extractions(monkeypatch):
+    """Wraps the load's parse, any later parse and block extraction at the
+    module attribute their callers look up; returns one call list each."""
+    import crow.cli
+    import crow.pipeline
+    import crow.wat
+
+    def counted(module, name):
+        calls, real = [], getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return (counted(crow.cli, "parse_module"), counted(crow.wat, "parse_module"),
+            counted(crow.pipeline, "extract_module_blocks"))
+
+
+def test_generate_parses_and_extracts_once(tmp_path, module_file, monkeypatch):
+    store = tmp_path / "store.json"
+    assert main(["explore", str(module_file), "-o", str(store), *SMALL]) == 0
+    loads, parses, extractions = _count_parses_and_extractions(monkeypatch)
+    outdir = tmp_path / "variants"
+    assert main(["generate", str(module_file), str(store), "-o", str(outdir), *SMALL]) == 0
+    assert json.loads((outdir / "manifest.json").read_text())["variants"]
+    assert (len(loads), len(parses), len(extractions)) == (1, 0, 1)
+
+
+def test_diversify_parses_and_extracts_once(tmp_path, module_file, monkeypatch):
+    loads, parses, extractions = _count_parses_and_extractions(monkeypatch)
+    outdir = tmp_path / "out"
+    assert main(["diversify", str(module_file), "-o", str(outdir), *SMALL]) == 0
+    traced = json.loads((outdir / "manifest.json").read_text())["variants"]
+    assert traced and all("outcome" in entry for entry in traced)
+    assert (len(loads), len(parses), len(extractions)) == (1, 0, 1)
+
+
 def test_generate_digest_mismatch(tmp_path, module_file):
     store = tmp_path / "store.json"
     assert main(["explore", str(module_file), "-o", str(store), *SMALL]) == 0
@@ -129,10 +169,23 @@ def test_measure_directory_pairwise(tmp_path, capsys):
 
 def test_measure_malformed_trace(tmp_path):
     bad = tmp_path / "bad.trace"
-    bad.write_text("nonsense\n")
     good = tmp_path / "good.trace"
     good.write_text("# crow-trace v1 entry=main\nresult 1\n")
-    assert main(["measure", "dynamic", str(bad), str(good)]) == 2
+    header = "# crow-trace v1 entry=main\npush 1\n"
+    for text in ("nonsense\n", header + "result abc\n", header + "result 99999999999\n",
+                 header + "result 1 2\n", header + "fuel-exhausted now\n"):
+        bad.write_text(text)
+        assert main(["measure", "dynamic", str(bad), str(good)]) == 2, text
+
+
+def test_measure_normalize_rejects_empty_left_trace(tmp_path, capsys):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("# crow-trace v1 entry=main\nresult 1\n")
+    other = tmp_path / "other.trace"
+    other.write_text("# crow-trace v1 entry=main\npush 1\nresult 1\n")
+    assert main(["measure", "dynamic", str(empty), str(other), "--normalize"]) == 2
+    assert "empty trace" in capsys.readouterr().err
+    assert main(["measure", "dynamic", str(other), str(empty), "--normalize"]) == 0
 
 
 def test_diversify_end_to_end(tmp_path, module_file):

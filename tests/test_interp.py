@@ -276,7 +276,13 @@ def test_write_trap_trace():
 
 def test_read_rejects_garbage():
     for bad in ("", "push 1\n", "# crow-trace v1\npush\nresult\n",
-                "# crow-trace v1\nshove 3\nresult\n", "# crow-trace v1\npush 1\n"):
+                "# crow-trace v1\nshove 3\nresult\n", "# crow-trace v1\npush 1\n",
+                "# crow-trace v1\npush 1\nresult abc\n",
+                "# crow-trace v1\npush 1\nresult 99999999999\n",
+                "# crow-trace v1\npush 1\nresult -2147483649\n",
+                "# crow-trace v1\npush 1\nresult 1 2\n",
+                "# crow-trace v1\npush 1\nfuel-exhausted now\n",
+                "# crow-trace v1\npush 1\ntrap\n"):
         with pytest.raises(TraceFormatError):
             read_trace(io.StringIO(bad))
 

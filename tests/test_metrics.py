@@ -11,7 +11,6 @@ from crow.metrics import (
     dt_dyn,
     dt_static,
     dtw,
-    normalized_dt_dyn,
     tokenize,
     trace_tokens,
 )
@@ -144,16 +143,6 @@ def test_dt_dyn_value_sensitivity():
     t1 = [TraceEvent("push", 10)]
     t2 = [TraceEvent("push", 20)]
     assert dt_dyn(t1, t2) == 1
-
-
-def test_normalized_dt_dyn():
-    t1 = [TraceEvent("push", i) for i in range(100)]
-    t2 = t1[:50] + [TraceEvent("push", 1000 + i) for i in range(50)]
-    cost = dt_dyn(t1, t2)
-    assert normalized_dt_dyn(t1, t2) == cost / 100
-    assert normalized_dt_dyn(t1, t1) == 0.0
-    with pytest.raises(ValueError):
-        normalized_dt_dyn([], t1)
 
 
 # --- integer event codes ----------------------------------------------------------

@@ -28,6 +28,13 @@ FAST = RunConfig(
 )
 
 
+def _explored(m):
+    """Blocks and replacements of one exploration, as `diversify` passes
+    them to generation."""
+    results = explore_module(m, FAST)
+    return [r.block for r in results], {r.block.id: r.replacements for r in results}
+
+
 def test_dag_json_roundtrip():
     d = D(("select", ("add", IN(0), C(5)), C(0), ("eqz", IN(1))))
     assert dag_from_json(dag_to_json(d)) == d
@@ -37,7 +44,8 @@ def test_store_roundtrip(mul_add_module):
     results = explore_module(mul_add_module, FAST)
     store = store_to_json(mul_add_module, FAST, results)
     parsed = json.loads(dump_json(store))
-    loaded = replacements_from_store(mul_add_module, parsed)
+    blocks, loaded = replacements_from_store(mul_add_module, parsed)
+    assert blocks == [r.block for r in results]
     original = {r.block.id: r.replacements for r in results}
     assert set(loaded) == set(original)
     for bid in loaded:
@@ -55,12 +63,11 @@ def test_store_rejects_other_module(mul_add_module):
 
 
 def test_strict_mode_keeps_only_verified(mul_add_module):
-    results = explore_module(mul_add_module, FAST)
-    replacements = {r.block.id: r.replacements for r in results}
+    blocks, replacements = _explored(mul_add_module)
     import dataclasses
 
     strict_cfg = dataclasses.replace(FAST, strict=True)
-    gen = generate_variants(mul_add_module, replacements, strict_cfg)
+    gen = generate_variants(mul_add_module, blocks, replacements, strict_cfg)
     for v in gen.variants:
         for bid, idx in v.plan.choices.items():
             assert gen.resolved.replacements[bid][idx].tier == "verified"
@@ -70,9 +77,8 @@ def test_rank_by_diff_orders_descending(mul_add_module):
     import dataclasses
 
     cfg = dataclasses.replace(FAST, rank_by_diff=True, max_variants=6)
-    results = explore_module(mul_add_module, FAST)
-    replacements = {r.block.id: r.replacements for r in results}
-    gen = generate_variants(mul_add_module, replacements, cfg)
+    blocks, replacements = _explored(mul_add_module)
+    gen = generate_variants(mul_add_module, blocks, replacements, cfg)
     from crow.metrics import dt_static
 
     costs = [dt_static(mul_add_module, v.module) for v in gen.variants]
@@ -112,10 +118,9 @@ def _count_dtw_calls(monkeypatch):
 def test_report_variants_runs_one_dtw_of_each_kind_per_variant(mul_add_module, monkeypatch):
     from crow.pipeline import report_variants
 
-    results = explore_module(mul_add_module, FAST)
-    replacements = {r.block.id: r.replacements for r in results}
+    blocks, replacements = _explored(mul_add_module)
     calls = _count_dtw_calls(monkeypatch)
-    result = report_variants(mul_add_module, replacements, FAST, do_trace=True)
+    result = report_variants(mul_add_module, blocks, replacements, FAST, do_trace=True)
     assert result.reports and result.outcome_mismatches == 0
     assert calls == {"static": len(result.reports), "dynamic": len(result.reports)}
     n = len(result.original_trace)
@@ -129,16 +134,24 @@ def test_rank_by_diff_measures_each_variant_once(mul_add_module, monkeypatch):
     from crow.pipeline import report_variants
 
     cfg = dataclasses.replace(FAST, rank_by_diff=True, max_variants=6)
-    results = explore_module(mul_add_module, FAST)
-    replacements = {r.block.id: r.replacements for r in results}
+    blocks, replacements = _explored(mul_add_module)
     calls = _count_dtw_calls(monkeypatch)
-    ranked = generate_variants(mul_add_module, replacements, cfg)
+    ranked = generate_variants(mul_add_module, blocks, replacements, cfg)
     ranking = dict(calls)
     assert ranking["static"] > 0 and ranking["dynamic"] == 0
-    result = report_variants(mul_add_module, replacements, cfg)
+    result = report_variants(mul_add_module, blocks, replacements, cfg)
     assert calls["static"] == 2 * ranking["static"]
     assert [r.variant.digest for r in result.reports] == [v.digest for v in ranked.variants]
     from crow.metrics import dt_static
 
     for rep in result.reports:
         assert rep.dt_static == dt_static(mul_add_module, rep.variant.module)
+
+
+def test_variants_are_traced_from_modules_equal_to_their_text(mul_add_module):
+    """Tracing the emitted `Module` instead of a re-parse of its printed text
+    leaves the traces as they were: the two modules are equal."""
+    result = diversify(mul_add_module, FAST)
+    assert result.reports
+    for rep in result.reports:
+        assert parse_module(rep.variant.text) == rep.variant.module

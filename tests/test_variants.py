@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from crow.emit import dag_to_function, emit_dag
+from crow.emit import emit_dag
 from crow.equiv import CheckerConfig, eval_dag
 from crow.interp import instantiate, invoke
 from crow.ir import PURE_OPS, PureBlock, extract_module_blocks
@@ -22,7 +22,7 @@ from crow.variants import (
     plan_count,
     resolve_overlaps,
 )
-from crow.wat import Module, parse_module, print_module, validate
+from crow.wat import FuncDef, Module, parse_module, print_module, validate
 
 from dagutil import C, D, IN
 from semantics_spec import corner_values, spec, to_signed
@@ -396,7 +396,7 @@ def test_interpreter_matches_evaluator_on_blocks(x, y, z):
         )
     ]
     for dag, expected in cases:
-        f = dag_to_function(dag, 3)
+        f = FuncDef(params=3, results=1, locals=0, body=tuple(emit_dag(dag)))
         m = Module(functions=(f,), exports={"f": 0})
         assert validate(m) == []
         outcome, _ = invoke(instantiate(m), "f", [x, y, z])
@@ -406,7 +406,7 @@ def test_interpreter_matches_evaluator_on_blocks(x, y, z):
 
 def test_extracted_blocks_match_interpreter(mul_add_module):
     for b in extract_module_blocks(mul_add_module):
-        f = dag_to_function(b.dag, len(b.inputs))
+        f = FuncDef(params=len(b.inputs), results=1, locals=0, body=tuple(emit_dag(b.dag)))
         m = Module(functions=(f,), exports={"f": 0})
         for env in [(0,), (10,), (-3,), (2**31 - 1,)]:
             args = list(env)[: f.params]

@@ -17,7 +17,6 @@ from pathlib import Path
 from crow import corpus
 from crow.cli import write_artifacts
 from crow.pipeline import RunConfig, diversify
-from crow.synth import SynthesisConfig
 from crow.wat import parse_module
 
 
@@ -56,7 +55,6 @@ def main(argv=None) -> int:
     for name in names:
         module = parse_module(corpus.load(name))
         cfg = RunConfig(
-            synthesis=SynthesisConfig(seed=args.seed),
             max_variants=args.max_variants,
             timeout_seconds=args.timeout_secs,
             seed=args.seed,

@@ -2,8 +2,8 @@
 
 Exit codes are part of the contract: 0 success, 2 malformed input (parse or
 validation failure, unknown export, malformed trace), 3 configuration error,
-4 replacement-store/module mismatch, 5 the traced program trapped, 6 it ran
-out of fuel.
+4 replacement-store/module mismatch or malformed store, 5 the traced program
+trapped, 6 it ran out of fuel.
 """
 
 from __future__ import annotations
@@ -82,16 +82,11 @@ def _solver_cmd(args) -> tuple[str, ...]:
 def _run_config(args) -> RunConfig:
     try:
         vocabulary = Vocabulary.parse(args.vocab) if args.vocab else Vocabulary.default()
-        synthesis = SynthesisConfig(
-            max_size=args.max_size,
-            vocabulary=vocabulary,
-            seed=args.seed,
-        )
+        synthesis = SynthesisConfig(max_size=args.max_size, vocabulary=vocabulary)
         checker = CheckerConfig(
             mode={"exhaustive": "exhaustive-only", "probable": "probable-ok", "smt": "smt"}[
                 args.checker
             ],
-            seed=args.seed,
             solver_cmd=_solver_cmd(args),
         )
         cfg = RunConfig(
@@ -255,7 +250,7 @@ def _cmd_diversify(args) -> int:
     m = _load_module(args.module)
     cfg = _run_config(args)
     try:
-        result = diversify(m, cfg, do_trace=cfg.invoke_name in m.exports)
+        result = diversify(m, cfg)
     except InvokeError as e:
         raise _CliError(EXIT_INPUT, str(e))
     outdir = Path(args.output)

@@ -10,8 +10,10 @@ unwinding also emit pop events. Locals, globals, and memory writes are not
 events.
 
 Fuel counts trace events; execution stops with a fuel-exhausted outcome when
-it runs out. A generous instruction ceiling backs this up so event-free
-branch loops cannot hang the interpreter.
+it runs out. Every state change emits an event, so a branch back to a loop
+whose last iteration emitted none repeats that iteration forever; it ends the
+run as fuel-exhausted at once. A generous instruction ceiling backs this up
+so event-free call trees cannot hang the interpreter either.
 """
 
 from __future__ import annotations
@@ -154,8 +156,8 @@ def _run(state: MachineState, fn_index: int, locals_: list[int], trace: Trace,
     body = f.body
     end_of, else_of = state.control[fn_index]
     stack: list[int] = []
-    # (kind, entry depth, site) per open frame
-    ctrl: list[tuple[str, int, int]] = []
+    # (kind, entry depth, site, fuel when a loop's iteration began) per open frame
+    ctrl: list[tuple[str, int, int, int]] = []
 
     def push(v: int):
         if state.fuel <= 0:
@@ -215,13 +217,13 @@ def _run(state: MachineState, fn_index: int, locals_: list[int], trace: Trace,
         elif m == "drop":
             pop()
         elif m == "block" or m == "loop":
-            ctrl.append((m, len(stack), ip))
+            ctrl.append((m, len(stack), ip, state.fuel))
         elif m == "if":
             c = pop()
             if c != 0:
-                ctrl.append(("if", len(stack), ip))
+                ctrl.append(("if", len(stack), ip, state.fuel))
             elif ip in else_of:
-                ctrl.append(("if", len(stack), ip))
+                ctrl.append(("if", len(stack), ip, state.fuel))
                 ip = else_of[ip]
             else:
                 ip = end_of[ip]
@@ -241,7 +243,10 @@ def _run(state: MachineState, fn_index: int, locals_: list[int], trace: Trace,
                 while len(stack) > target[1]:
                     pop()
                 if target[0] == "loop":
+                    if target[3] == state.fuel:
+                        raise _FuelExhausted()
                     del ctrl[len(ctrl) - ins.immediate :]
+                    ctrl[-1] = (*target[:3], state.fuel)
                     ip = target[2] + 1
                     continue
                 del ctrl[len(ctrl) - 1 - ins.immediate :]

@@ -22,6 +22,7 @@ from .interp import DEFAULT_FUEL, Outcome, Trace, instantiate, invoke
 from .ir import Dag, DagNode, PureBlock, extract_module_blocks
 from .metrics import TokenSeq, dt_dyn, tokenize
 from .synth import (
+    WORK_UNITS_PER_SECOND,
     BlockSynthesis,
     Candidate,
     Replacement,
@@ -38,7 +39,7 @@ from .variants import (
     plan_count,
     resolve_overlaps,
 )
-from .wat import Module, print_module
+from .wat import INT32_MAX, INT32_MIN, Module, print_module
 
 STORE_FORMAT = "crow-replacement-store v1"
 MANIFEST_FORMAT = "crow-manifest v1"
@@ -85,17 +86,17 @@ def _fan_out(fn, tasks: list, jobs: int) -> list:
 
 
 def _synth_task(args) -> BlockSynthesis:
-    block, synth_cfg, checker_cfg, budget = args
-    return synthesize_replacements(block, synth_cfg, checker_cfg, budget_seconds=budget)
+    return synthesize_replacements(*args)
 
 
 def explore_module(m: Module, cfg: RunConfig) -> list[BlockSynthesis]:
-    """Synthesizes replacements for every block, splitting the global budget
-    equally across the blocks eligible for synthesis."""
+    """Synthesizes replacements for every block, splitting the global budget,
+    converted once to work units, equally across the blocks eligible for
+    synthesis."""
     blocks = extract_module_blocks(m)
     eligible = [b for b in blocks if b.node_count <= cfg.synthesis.max_block_nodes]
-    per_block = cfg.timeout_seconds / max(len(eligible), 1)
-    tasks = [(b, cfg.synthesis, cfg.checker, per_block) for b in blocks]
+    quota = int(cfg.timeout_seconds / max(len(eligible), 1) * WORK_UNITS_PER_SECOND)
+    tasks = [(b, cfg.synthesis, cfg.checker, quota, cfg.seed) for b in blocks]
     return _fan_out(_synth_task, tasks, cfg.jobs)
 
 
@@ -135,7 +136,7 @@ def store_to_json(m: Module, cfg: RunConfig, results: list[BlockSynthesis]) -> d
             "max_size": cfg.synthesis.max_size,
             "vocabulary": sorted(cfg.synthesis.vocabulary.ops)
             + (["const"] if cfg.synthesis.vocabulary.allow_const else []),
-            "seed": cfg.synthesis.seed,
+            "seed": cfg.seed,
             "timeout_seconds": cfg.timeout_seconds,
             "checker_mode": cfg.checker.mode,
         },
@@ -170,7 +171,18 @@ def store_to_json(m: Module, cfg: RunConfig, results: list[BlockSynthesis]) -> d
 
 
 class StoreMismatchError(ValueError):
-    """The store was produced from a different module."""
+    """The store was produced from a different module, or is malformed."""
+
+
+def _stored_replacement(block: PureBlock, rep: dict) -> Replacement:
+    dag = dag_from_json(rep["dag"])
+    for n in dag.nodes:
+        if n.kind == "input" and not 0 <= n.input < len(block.inputs):
+            raise ValueError(f"input {n.input} of a {len(block.inputs)}-input block")
+        if n.kind == "const" and not (type(n.value) is int and INT32_MIN <= n.value <= INT32_MAX):
+            raise ValueError(f"constant {n.value!r} is not an i32")
+    return Replacement(block_id=block.id, candidate=Candidate(dag, rep["enum_index"]),
+                       tier=rep["tier"], method=rep["method"], emitted_len=rep["emitted_len"])
 
 
 def replacements_from_store(
@@ -178,29 +190,25 @@ def replacements_from_store(
 ) -> tuple[list[PureBlock], dict[str, list[Replacement]]]:
     """Pairs stored replacements with blocks re-extracted from the module and
     returns both; any disagreement means the store belongs to a different
-    module."""
-    if store.get("format") != STORE_FORMAT:
+    module, and an entry that does not decode is a malformed store."""
+    if not isinstance(store, dict) or store.get("format") != STORE_FORMAT:
         raise StoreMismatchError("not a replacement store")
     digest = content_digest(print_module(m))
     if store.get("module_digest") != digest:
         raise StoreMismatchError("store/module digest mismatch")
     blocks = extract_module_blocks(m)
-    ids = {b.id for b in blocks}
+    by_id = {b.id: b for b in blocks}
     out: dict[str, list[Replacement]] = {}
-    for entry in store["blocks"]:
-        bid = entry["id"]
-        if bid not in ids:
-            raise StoreMismatchError(f"store references unknown block {bid}")
-        out[bid] = [
-            Replacement(
-                block_id=bid,
-                candidate=Candidate(dag_from_json(rep["dag"]), rep["enum_index"]),
-                tier=rep["tier"],
-                method=rep["method"],
-                emitted_len=rep["emitted_len"],
-            )
-            for rep in entry["replacements"]
-        ]
+    try:
+        for entry in store["blocks"]:
+            block = by_id.get(entry["id"])
+            if block is None:
+                raise StoreMismatchError(f"store references unknown block {entry['id']}")
+            out[block.id] = [_stored_replacement(block, rep) for rep in entry["replacements"]]
+    except StoreMismatchError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as e:
+        raise StoreMismatchError(f"malformed replacement store: {e!r}") from None
     return blocks, out
 
 
@@ -324,11 +332,11 @@ def _trace_task(args):
     return trace_module(module, entry, list(invoke_args), fuel)
 
 
-def diversify(m: Module, cfg: RunConfig, do_trace: bool = True) -> DiversifyResult:
+def diversify(m: Module, cfg: RunConfig) -> DiversifyResult:
     exploration = explore_module(m, cfg)
     blocks = [r.block for r in exploration]
     replacements = {r.block.id: r.replacements for r in exploration}
-    return report_variants(m, blocks, replacements, cfg, do_trace, exploration)
+    return report_variants(m, blocks, replacements, cfg, do_trace=True, exploration=exploration)
 
 
 def report_variants(

@@ -17,12 +17,12 @@ recomputed for the chunk) and one comparison with the block's values. Only
 prefilter survivors become trees and DAGs, and only they are compared with
 the block's own key, since the block's own tree always survives.
 
-Budgets are deterministic: the configured per-block seconds convert to a
-fixed number of work units (a fixed charge per candidate plus the checker's
-evaluations), so results depend only on (block, config, seed), never on wall
-clock or worker count. Between survivors the per-candidate charges are
-replayed arithmetically in stream order, so the stop point, the counts and
-every index equal those of a loop that charges candidate by candidate.
+Budgets are deterministic: each block gets a quota of work units (a fixed
+charge per candidate plus the checker's evaluations), so results depend only
+on (block, config, quota, seed), never on wall clock or worker count.
+Between survivors the per-candidate charges are replayed arithmetically in
+stream order, so the stop point, the counts and every index equal those of
+a loop that charges candidate by candidate.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .equiv import CheckerConfig, InfeasibleDomainError, batch_apply, batch_eval
 from .ir import Dag, DagNode, K_CONST, K_INPUT, K_OP, PURE_OPS, PureBlock, _reachable_key
 from .wat import wrap_i32
 
-# Scale of the deterministic budget: a block gets its budget seconds times
-# this many work units, and a candidate costs max(prefilter vectors, 16)
+# Scale of the deterministic budget: a run's seconds convert to this many
+# work units per second, and a candidate costs max(prefilter vectors, 16)
 # units plus its checker evaluations. It is a fixed conversion, not a
 # measured rate (batched evaluation gets through far more units per second),
 # and changing it changes where budgets stop, hence the outputs.
@@ -100,8 +100,6 @@ class SynthesisConfig:
     vocabulary: Vocabulary = field(default_factory=Vocabulary.default)
     pool_base: tuple[int, ...] = (0, 1, 2, -1)
     prefilter_random: int = 64  # R
-    seed: int = 0
-    budget_seconds: float = 60.0
     max_block_nodes: int = 64  # larger blocks are recorded but not synthesized
     max_replacements: int = 24  # deterministic early stop per block
 
@@ -113,8 +111,6 @@ class SynthesisConfig:
             errs.append("prefilter vector count must be >= 1")
         if not self.vocabulary.ops and not self.vocabulary.allow_const:
             errs.append("vocabulary is empty")
-        if self.budget_seconds <= 0:
-            errs.append("budget must be positive")
         return errs
 
 
@@ -312,7 +308,7 @@ def _self_test(b: PureBlock, max_size: int):
 # --- prefiltering ----------------------------------------------------------------
 
 
-def prefilter_vectors(b: PureBlock, cfg: SynthesisConfig):
+def prefilter_vectors(b: PureBlock, cfg: SynthesisConfig, seed: int):
     """Corner-value combinations (capped) plus R seeded random vectors, as
     uint64 arrays, one per block input."""
     n = len(b.inputs)
@@ -326,7 +322,7 @@ def prefilter_vectors(b: PureBlock, cfg: SynthesisConfig):
         for j in range(n - 1, -1, -1):
             cols[j].append(corners[rest % len(corners)])
             rest //= len(corners)
-    seed = equiv._stable_seed("prefilter", cfg.seed, b.dag.key())
+    seed = equiv._stable_seed("prefilter", seed, b.dag.key())
     rand = equiv.random_vectors(n, cfg.prefilter_random, seed)
     return [
         np.concatenate([np.array(col, dtype=np.uint64), rand[j]])
@@ -334,14 +330,14 @@ def prefilter_vectors(b: PureBlock, cfg: SynthesisConfig):
     ]
 
 
-def infer_constant(b: PureBlock, cfg: SynthesisConfig) -> Candidate | None:
+def infer_constant(b: PureBlock, cfg: SynthesisConfig, seed: int) -> Candidate | None:
     """Proposes const(v) when the block evaluates to the same v on every
     prefilter vector (always, for zero-input blocks). Still subject to the
     full equivalence check downstream."""
     if len(b.inputs) == 0:
         v = equiv.eval_dag(b.dag, (), 32)
     else:
-        vals = np.atleast_1d(batch_eval(b.dag, prefilter_vectors(b, cfg), 32))
+        vals = np.atleast_1d(batch_eval(b.dag, prefilter_vectors(b, cfg, seed), 32))
         if not bool(np.all(vals == vals[0])):
             return None
         v = wrap_i32(int(vals[0]))
@@ -355,12 +351,13 @@ def synthesize_replacements(
     b: PureBlock,
     cfg: SynthesisConfig,
     checker: CheckerConfig,
-    budget_seconds: float | None = None,
+    quota: int,
+    seed: int,
 ) -> BlockSynthesis:
     """Collects every candidate the checker does not reject, in stream order,
-    until enumeration completes, the replacement cap is hit, or the
-    deterministic work budget runs out."""
-    errs = cfg.validate()
+    until enumeration completes, the replacement cap is hit, or the block's
+    `quota` of work units runs out."""
+    errs = cfg.validate() + checker.validate()
     if errs:
         raise ConfigError("; ".join(errs))
     result = BlockSynthesis(block=b)
@@ -369,11 +366,9 @@ def synthesize_replacements(
         result.skipped_reason = f"block has {b.node_count} nodes (> {cfg.max_block_nodes})"
         return result
 
-    seconds = cfg.budget_seconds if budget_seconds is None else budget_seconds
-    quota = max(int(seconds * WORK_UNITS_PER_SECOND), 1)
     leaves = _leaves_for(b, cfg)
     is_self = _self_test(b, cfg.max_size)
-    vectors = prefilter_vectors(b, cfg)
+    vectors = prefilter_vectors(b, cfg, seed)
     n_vec = len(vectors[0]) if vectors else 1
     charge = max(n_vec, 16)  # floor covers per-candidate bookkeeping cost
     target = np.atleast_1d(batch_eval(b.dag, vectors, 32))
@@ -396,7 +391,7 @@ def synthesize_replacements(
     def admit(dag: Dag, index: int) -> bool:
         """Checks one prefilter survivor; False means stop the stream."""
         try:
-            verdict = equiv.check(b, dag, checker)
+            verdict = equiv.check(b, dag, checker, seed)
         except InfeasibleDomainError:
             return True
         result.work_units += verdict.evals
@@ -418,7 +413,7 @@ def synthesize_replacements(
 
     # The inferred constant agrees with the block on every prefilter vector
     # by construction, so it goes straight to the checker.
-    inferred = infer_constant(b, cfg)
+    inferred = infer_constant(b, cfg, seed)
     if inferred is not None and not is_self(inferred.dag, 0):
         if not pay(1) or not admit(inferred.dag, -1):
             return result

@@ -16,7 +16,6 @@ from crow.emit import emit_dag
 from crow.equiv import InfeasibleDomainError, batch_apply, batch_eval
 from crow.ir import PURE_OPS, SEMANTICS, _reachable_key, width_constants
 from crow.synth import (
-    WORK_UNITS_PER_SECOND,
     BlockSynthesis,
     Candidate,
     ConfigError,
@@ -87,8 +86,8 @@ def reference_stream(b, cfg):
                 index += 1
 
 
-def synthesize_reference(b, cfg, checker, budget_seconds=None) -> BlockSynthesis:
-    errs = cfg.validate()
+def synthesize_reference(b, cfg, checker, quota, seed) -> BlockSynthesis:
+    errs = cfg.validate() + checker.validate()
     if errs:
         raise ConfigError("; ".join(errs))
     result = BlockSynthesis(block=b)
@@ -97,11 +96,9 @@ def synthesize_reference(b, cfg, checker, budget_seconds=None) -> BlockSynthesis
         result.skipped_reason = f"block has {b.node_count} nodes (> {cfg.max_block_nodes})"
         return result
 
-    seconds = cfg.budget_seconds if budget_seconds is None else budget_seconds
-    quota = max(int(seconds * WORK_UNITS_PER_SECOND), 1)
     leaves = _leaves_for(b, cfg)
     self_key = _reachable_key(b.dag)
-    vectors = prefilter_vectors(b, cfg)
+    vectors = prefilter_vectors(b, cfg, seed)
     n_vec = len(vectors[0]) if vectors else 1
     charge = max(n_vec, 16)
     block_vals = np.atleast_1d(batch_eval(b.dag, vectors, 32)) if vectors else None
@@ -130,7 +127,7 @@ def synthesize_reference(b, cfg, checker, budget_seconds=None) -> BlockSynthesis
         if not vectors and (equiv.eval_dag(dag, (), 32) & 0xFFFFFFFF) != block_scalar:
             return True
         try:
-            verdict = equiv.check(b, dag, checker)
+            verdict = equiv.check(b, dag, checker, seed)
         except InfeasibleDomainError:
             return True
         result.work_units += verdict.evals
@@ -150,7 +147,7 @@ def synthesize_reference(b, cfg, checker, budget_seconds=None) -> BlockSynthesis
             return False
         return True
 
-    inferred = infer_constant(b, cfg)
+    inferred = infer_constant(b, cfg, seed)
     if inferred is not None and _reachable_key(inferred.dag) != self_key:
         if not consider(inferred.dag, None, -1):
             return result

@@ -1,8 +1,10 @@
 import json
+import runpy
 from pathlib import Path
 
 import pytest
 
+from crow import corpus
 from crow.cli import main
 from crow.interp import read_trace
 from crow.wat import parse_module, validate
@@ -100,6 +102,35 @@ def test_generate_digest_mismatch(tmp_path, module_file):
     other = tmp_path / "other.wat"
     other.write_text("(module (func (result i32) i32.const 3))")
     assert main(["generate", str(other), str(store)]) == 4
+
+
+def _edit_first_node(kind, key, value):
+    """Store edit: sets `key` of the first replacement node of `kind`."""
+    def edit(store):
+        for block in store["blocks"]:
+            for rep in block["replacements"]:
+                for node in rep["dag"]["nodes"]:
+                    if node["kind"] == kind:
+                        node[key] = value
+                        return store
+        raise AssertionError(f"no {kind} node in the store")
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda store: {k: v for k, v in store.items() if k != "blocks"},
+    lambda store: [store],
+    _edit_first_node("op", "op", "nope"),
+    _edit_first_node("input", "input", 5),  # every mul_add block has one input
+    _edit_first_node("const", "value", 2**40),
+], ids=["no-blocks", "top-level-list", "unknown-op", "input-out-of-range", "const-not-i32"])
+def test_generate_rejects_malformed_store(tmp_path, module_file, capsys, edit):
+    store = tmp_path / "store.json"
+    assert main(["explore", str(module_file), "-o", str(store), *SMALL]) == 0
+    store.write_text(json.dumps(edit(json.loads(store.read_text()))))
+    outdir = tmp_path / "variants"
+    assert main(["generate", str(module_file), str(store), "-o", str(outdir), *SMALL]) == 4
+    assert capsys.readouterr().err.startswith("crow: ")
 
 
 def test_trace_command(tmp_path, module_file, capsys):
@@ -213,3 +244,22 @@ def test_diversify_non_diversifiable_module(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["variants"] == []
     assert manifest["exploration"]["blocks_found"] == 0
+
+
+def test_run_corpus_matches_diversify(tmp_path):
+    """scripts/run_corpus.py runs the pipeline with one seed, as the CLI does."""
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_corpus.py"))
+    flags = ["--timeout-secs", "0.05", "--seed", "5"]
+    assert script["main"](["--out", str(tmp_path / "corpus"), "--only", "mul_add", *flags]) == 0
+    prog = tmp_path / "mul_add.wat"
+    prog.write_text(corpus.load("mul_add"))
+    assert main(["diversify", str(prog), "-o", str(tmp_path / "cli"), *flags]) == 0
+
+    def outputs(d: Path):
+        return {p.relative_to(d).as_posix(): p.read_bytes() for p in sorted(d.rglob("*"))
+                if p.is_file() and p.name != "manifest.json"}
+
+    got, want = outputs(tmp_path / "corpus" / "mul_add"), outputs(tmp_path / "cli")
+    assert "traces/variant_0.trace" in want and got == want
+    rows = (tmp_path / "corpus" / "summary.tsv").read_text().splitlines()
+    assert [r.split("\t")[0] for r in rows] == ["name", "mul_add"]

@@ -116,14 +116,14 @@ def test_evaluators_agree_at_reduced_width(tree, x, y, w):
 
 def test_zero_input_verified():
     b = block_of(("sub", ("mul", C(158), C(160)), C(16)), 0)
-    verdict = check(b, D(C(25264)), NO_SOLVER)
+    verdict = check(b, D(C(25264)), NO_SOLVER, 0)
     assert verdict.tier == "verified"
     assert verdict.method == "exhaustive"
 
 
 def test_rejected_with_replaying_counterexample():
     b = block_of(MUL2, 1)
-    verdict = check(b, D(ADD1), NO_SOLVER)
+    verdict = check(b, D(ADD1), NO_SOLVER, 0)
     assert verdict.tier == "rejected"
     cex = verdict.counterexample
     assert cex is not None
@@ -132,7 +132,7 @@ def test_rejected_with_replaying_counterexample():
 
 def test_comparison_inversion_probable():
     b = block_of(("gt_s", IN(0), C(10)), 1)
-    verdict = check(b, D(("le_s", C(11), IN(0))), NO_SOLVER)
+    verdict = check(b, D(("le_s", C(11), IN(0))), NO_SOLVER, 0)
     assert verdict.tier == "probable"
     assert verdict.method == "reduced-width"
 
@@ -153,20 +153,20 @@ def test_exhaustive_infeasible():
 def test_exhaustive_only_mode_raises_when_unsound():
     b = block_of(MUL2, 1)
     with pytest.raises(InfeasibleDomainError):
-        check(b, D(SHL1), CheckerConfig(mode="exhaustive-only"))
+        check(b, D(SHL1), CheckerConfig(mode="exhaustive-only"), 0)
 
 
 def test_reduced_width_counterexample_discarded():
     # x*65536 vs x*65537 agree at widths 4/8/16 but differ at 32; random
     # samples must catch it instead.
     b = block_of(("mul", IN(0), C(65536)), 1)
-    verdict = check(b, D(("mul", IN(0), C(65537))), CheckerConfig(samples=4096))
+    verdict = check(b, D(("mul", IN(0), C(65537))), CheckerConfig(samples=4096), 0)
     assert verdict.tier == "rejected"
 
 
 def test_probable_requires_sample_agreement():
     b = block_of(("and", IN(0), C(0)), 1)
-    verdict = check(b, D(C(0)), NO_SOLVER)
+    verdict = check(b, D(C(0)), NO_SOLVER, 0)
     assert verdict.tier == "probable"
 
 
@@ -179,26 +179,26 @@ FAST = CheckerConfig(samples=512)
 @given(st.integers(0, 31))
 def test_mul_pow2_vs_shift_never_rejected(k):
     b = block_of(("mul", IN(0), C(1 << k)), 1)
-    assert check(b, D(("shl", IN(0), C(k))), FAST).tier != "rejected"
+    assert check(b, D(("shl", IN(0), C(k))), FAST, 0).tier != "rejected"
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(-(2**31) + 1, 2**31 - 1))
 def test_sub_negative_vs_add_never_rejected(n):
     b = block_of(("sub", IN(0), C(-n)), 1)
-    assert check(b, D(("add", IN(0), C(n))), FAST).tier != "rejected"
+    assert check(b, D(("add", IN(0), C(n))), FAST, 0).tier != "rejected"
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(-(2**31), 2**31 - 2))
 def test_compare_inversion_never_rejected(bnd):
     b = block_of(("gt_s", IN(0), C(bnd)), 1)
-    assert check(b, D(("le_s", C(bnd + 1), IN(0))), FAST).tier != "rejected"
+    assert check(b, D(("le_s", C(bnd + 1), IN(0))), FAST, 0).tier != "rejected"
 
 
 def test_xor_self_is_zero_never_rejected():
     b = block_of(("xor", IN(0), IN(0)), 1)
-    assert check(b, D(C(0)), FAST).tier != "rejected"
+    assert check(b, D(C(0)), FAST, 0).tier != "rejected"
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,7 +206,7 @@ def test_xor_self_is_zero_never_rejected():
 def test_add_const_perturbation_rejected(c0, delta):
     # a +-1..3 change to an additive constant is visible at any width
     b = block_of(("add", IN(0), C(c0)), 1)
-    verdict = check(b, D(("add", IN(0), C(c0 + delta))), CheckerConfig(widths=(4,), samples=64))
+    verdict = check(b, D(("add", IN(0), C(c0 + delta))), CheckerConfig(widths=(4,), samples=64), 0)
     assert verdict.tier == "rejected"
     cex = verdict.counterexample
     assert eval_dag(b.dag, cex) != eval_dag(D(("add", IN(0), C(c0 + delta))), cex)
@@ -272,7 +272,7 @@ def fake_solver(tmp_path):
 def test_solver_unsat_verifies(fake_solver):
     b = block_of(MUL2, 1)
     cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("unsat"), samples=64)
-    verdict = check(b, D(SHL1), cfg)
+    verdict = check(b, D(SHL1), cfg, 0)
     assert (verdict.tier, verdict.method) == ("verified", "smt")
 
 
@@ -280,7 +280,7 @@ def test_solver_sat_model_rejects_when_it_replays(fake_solver):
     # x*2 vs x+1 differ at the model point x=0
     b = block_of(MUL2, 1)
     cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("sat0"), samples=64)
-    verdict = check(b, D(ADD1), cfg)
+    verdict = check(b, D(ADD1), cfg, 0)
     assert (verdict.tier, verdict.method) == ("rejected", "smt")
     assert verdict.counterexample == (0,)
 
@@ -289,7 +289,7 @@ def test_solver_sat_without_replay_falls_back(fake_solver):
     # equivalent pair, but the fake solver lies "sat": fall back to probable
     b = block_of(MUL2, 1)
     cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("sat0"), samples=512)
-    verdict = check(b, D(SHL1), cfg)
+    verdict = check(b, D(SHL1), cfg, 0)
     assert verdict.tier == "probable"
     assert "solver-failure" in (verdict.note or "")
 
@@ -297,7 +297,7 @@ def test_solver_sat_without_replay_falls_back(fake_solver):
 def test_solver_garbage_falls_back(fake_solver):
     b = block_of(MUL2, 1)
     cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("garbage"), samples=512)
-    verdict = check(b, D(SHL1), cfg)
+    verdict = check(b, D(SHL1), cfg, 0)
     assert verdict.tier == "probable"
     assert "solver-failure" in (verdict.note or "")
 
@@ -307,7 +307,7 @@ def test_solver_timeout_falls_back(fake_solver):
     cfg = CheckerConfig(
         mode="smt", solver_cmd=fake_solver("hang"), solver_timeout=0.5, samples=256
     )
-    verdict = check(b, D(SHL1), cfg)
+    verdict = check(b, D(SHL1), cfg, 0)
     assert verdict.tier == "probable"
 
 
@@ -317,8 +317,8 @@ def test_solver_timeout_falls_back(fake_solver):
 def test_real_solver_roundtrip():
     b = block_of(MUL2, 1)
     cfg = CheckerConfig(mode="smt", solver_cmd=("z3", "-in"))
-    assert check(b, D(SHL1), cfg).tier == "verified"
-    assert check(b, D(ADD1), cfg).tier == "rejected"
+    assert check(b, D(SHL1), cfg, 0).tier == "verified"
+    assert check(b, D(ADD1), cfg, 0).tier == "rejected"
 
 
 # --- regression: no false verified ---------------------------------------------
@@ -330,6 +330,6 @@ def test_verified_pairs_survive_fresh_samples():
         (block_of(("add", C(3), C(4)), 0), D(("mul", C(7), C(1)))),
     ]
     for b, c in pairs:
-        assert check(b, c, NO_SOLVER).tier == "verified"
+        assert check(b, c, NO_SOLVER, 0).tier == "verified"
         env = random_vectors(0, 1, 99)
         assert eval_dag(b.dag, ()) == eval_dag(c, ())

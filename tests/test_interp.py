@@ -231,15 +231,25 @@ def test_fuel_counts_events_not_instructions():
     assert outcome == Outcome.result(None)
 
 
-def test_eventless_loop_hits_instruction_ceiling():
-    text = """(module
-      (func
-        loop
-          br 0
-        end)
-      (export "main" (func 0)))"""
-    outcome, _ = run(text, fuel=100)
-    assert outcome == Outcome.fuel_exhausted()
+@pytest.mark.parametrize("body", ["nop br 0", "block br 1 end"])
+def test_eventless_loop_ends_at_once(body):
+    """A branch back to a loop whose iteration emitted no event would repeat
+    it forever, so the run ends as fuel-exhausted well before the
+    instruction ceiling."""
+    m = parse_module(f'(module (func loop {body} end) (export "main" (func 0)))')
+    state = instantiate(m, fuel=10**6)
+    assert invoke(state, "main", []) == (Outcome.fuel_exhausted(), [])
+    assert state.instructions_executed < 10
+
+
+def test_eventless_call_tree_hits_instruction_ceiling():
+    """No loop and no event: 22 functions, each calling the next twice, run
+    about 2^23 instructions, past the ceiling of 16 * 100 + 10^6."""
+    funcs = " ".join(f"(func call {i + 1} call {i + 1})" for i in range(21))
+    m = parse_module(f'(module {funcs} (func) (export "main" (func 0)))')
+    state = instantiate(m, fuel=100)
+    assert invoke(state, "main", []) == (Outcome.fuel_exhausted(), [])
+    assert state.instructions_executed > state.instruction_ceiling
 
 
 def test_zero_result_entry_with_return():

@@ -26,6 +26,7 @@ from dagutil import C, D, IN, block_of
 from synth_oracle import reference_stream, synthesize_reference
 
 FAST_CHECKER = CheckerConfig(samples=512)
+QUOTA = 60 * synth.WORK_UNITS_PER_SECOND  # a minute's worth of work units
 
 
 def small_cfg(**kw):
@@ -126,18 +127,18 @@ def test_pool_includes_negated_immediates():
 
 def test_infer_constant_zero_input():
     b = block_of(("sub", ("mul", C(158), C(160)), C(16)), 0)
-    cand = infer_constant(b, SynthesisConfig())
+    cand = infer_constant(b, SynthesisConfig(), 0)
     assert cand is not None and cand.index == -1
     node = cand.dag.nodes[cand.dag.root]
     assert (node.kind, node.value) == (K_CONST, 25264)
 
 
 def test_infer_constant_identity_returns_none():
-    assert infer_constant(block_of(IN(0), 1), SynthesisConfig()) is None
+    assert infer_constant(block_of(IN(0), 1), SynthesisConfig(), 0) is None
 
 
 def test_infer_constant_masked_block():
-    cand = infer_constant(block_of(("and", IN(0), C(0)), 1), SynthesisConfig())
+    cand = infer_constant(block_of(("and", IN(0), C(0)), 1), SynthesisConfig(), 0)
     assert cand is not None
     assert cand.dag.nodes[cand.dag.root].value == 0
 
@@ -147,7 +148,7 @@ def test_infer_constant_masked_block():
 
 def prefilter(b, rhs) -> bool:
     """True iff block and candidate agree on every prefilter vector."""
-    vectors = prefilter_vectors(b, SynthesisConfig())
+    vectors = prefilter_vectors(b, SynthesisConfig(), 0)
     return bool((batch_eval(b.dag, vectors, 32) == batch_eval(D(rhs), vectors, 32)).all())
 
 
@@ -181,7 +182,7 @@ def test_prefilter_never_rejects_equivalent_rewrites():
 def test_mul_block_yields_shift_and_double_add():
     b = block_of(("mul", IN(0), C(2)), 1)
     cfg = SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("shl", "add", "mul", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER)
+    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
     keys = {_reachable_key(r.candidate.dag) for r in result.replacements}
     assert "shl(i0,c1)" in keys
     assert "add(i0,i0)" in keys
@@ -191,7 +192,7 @@ def test_mul_block_yields_shift_and_double_add():
 def test_sub_negative_becomes_add():
     b = block_of(("sub", IN(0), C(-5)), 1)
     cfg = SynthesisConfig(max_size=1, vocabulary=Vocabulary.of("add", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER)
+    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
     keys = {_reachable_key(r.candidate.dag) for r in result.replacements}
     assert "add(i0,c5)" in keys
 
@@ -201,10 +202,16 @@ def test_empty_vocabulary_rejected():
         Vocabulary.of()
 
 
+def test_checker_config_validated_on_entry():
+    b = block_of(("mul", IN(0), C(2)), 1)
+    with pytest.raises(ConfigError, match="unknown checker mode"):
+        synthesize_replacements(b, SynthesisConfig(), CheckerConfig(mode="nope"), QUOTA, 0)
+
+
 def test_no_self_replacement():
     b = block_of(("add", IN(0), IN(0)), 1)
     cfg = SynthesisConfig(max_size=1, vocabulary=Vocabulary.of("add", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER)
+    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
     self_seq = "add(i0,i0)"
     assert all(_reachable_key(r.candidate.dag) != self_seq for r in result.replacements)
 
@@ -212,7 +219,7 @@ def test_no_self_replacement():
 def test_zero_input_block_gets_constant():
     b = block_of(("sub", ("mul", C(158), C(160)), C(16)), 0)
     cfg = SynthesisConfig(max_size=1, vocabulary=Vocabulary.of("add", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER)
+    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
     assert result.replacements, "constant inference must produce a verified replacement"
     first = result.replacements[0]
     assert first.candidate.index == -1
@@ -223,37 +230,34 @@ def test_zero_input_block_gets_constant():
 def test_replacement_cap_stops_early():
     b = block_of(("mul", IN(0), C(2)), 1)
     cfg = SynthesisConfig(max_size=2, max_replacements=2)
-    result = synthesize_replacements(b, cfg, FAST_CHECKER)
+    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
     assert result.stopped == "cap"
     assert len(result.replacements) == 2
 
 
 def test_budget_exhaustion_flagged():
     b = block_of(("mul", IN(0), C(2)), 1)
-    cfg = SynthesisConfig(max_size=3, budget_seconds=1e-4, max_replacements=10**9)
-    result = synthesize_replacements(b, cfg, FAST_CHECKER)
+    cfg = SynthesisConfig(max_size=3, max_replacements=10**9)
+    result = synthesize_replacements(b, cfg, FAST_CHECKER, 800, 0)
     assert result.stopped == "budget"
 
 
 def test_oversized_block_skipped():
     b = block_of(("mul", IN(0), C(2)), 1)
     cfg = SynthesisConfig(max_block_nodes=2)
-    result = synthesize_replacements(b, cfg, FAST_CHECKER)
+    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
     assert result.stopped == "skipped"
     assert result.replacements == []
 
 
 def test_determinism_and_budget_prefix():
     b = block_of(("mul", IN(0), C(2)), 1)
-    cfg = SynthesisConfig(max_size=2, max_replacements=12, seed=7)
-    r1 = synthesize_replacements(b, cfg, FAST_CHECKER)
-    r2 = synthesize_replacements(b, cfg, FAST_CHECKER)
+    cfg = SynthesisConfig(max_size=2, max_replacements=12)
+    r1 = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 7)
+    r2 = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 7)
     assert [x.candidate for x in r1.replacements] == [x.candidate for x in r2.replacements]
     # a smaller budget yields a prefix of the larger run's result list
-    small = synthesize_replacements(
-        b, SynthesisConfig(max_size=2, max_replacements=12, seed=7, budget_seconds=0.002),
-        FAST_CHECKER,
-    )
+    small = synthesize_replacements(b, cfg, FAST_CHECKER, 16_000, 7)
     ks = [x.candidate for x in small.replacements]
     assert ks == [x.candidate for x in r1.replacements][: len(ks)]
 
@@ -261,10 +265,10 @@ def test_determinism_and_budget_prefix():
 def test_rechecking_stored_replacements_is_stable():
     b = block_of(("gt_s", IN(0), C(10)), 1)
     cfg = SynthesisConfig(max_size=1, max_replacements=8)
-    result = synthesize_replacements(b, cfg, FAST_CHECKER)
+    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
     assert result.replacements
     for r in result.replacements:
-        again = check(b, r.candidate.dag, FAST_CHECKER)
+        again = check(b, r.candidate.dag, FAST_CHECKER, 0)
         assert again.tier == r.tier
 
 
@@ -272,7 +276,7 @@ def test_listing_style_end_to_end_blocks(mul_add_module):
     blocks = extract_module_blocks(mul_add_module)
     b = next(x for x in blocks if x.dag.nodes[x.dag.root].op == "add")
     cfg = SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("shl", "add", "mul", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER)
+    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
     keys = {_reachable_key(r.candidate.dag) for r in result.replacements}
     assert "mul(i0,c3)" in keys  # 3x in one op
     assert any("shl" in k for k in keys)
@@ -286,18 +290,18 @@ def test_listing_style_end_to_end_blocks(mul_add_module):
 BATCHING = [(None, None), (1, 0)]
 
 
-def _synthesize_with(batching, b, cfg, checker):
+def _synthesize_with(batching, b, cfg, checker, quota, seed):
     chunk, bank = batching
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(synth, "CHUNK_ELEMENTS", chunk)
             mp.setattr(synth, "BANK_ELEMENTS", bank)
-        return synthesize_replacements(b, cfg, checker)
+        return synthesize_replacements(b, cfg, checker, quota, seed)
 
 
-def _assert_matches_oracle(batching, b, cfg, checker):
-    got = _synthesize_with(batching, b, cfg, checker)
-    assert vars(got) == vars(synthesize_reference(b, cfg, checker))
+def _assert_matches_oracle(batching, b, cfg, checker, quota=QUOTA, seed=0):
+    got = _synthesize_with(batching, b, cfg, checker, quota, seed)
+    assert vars(got) == vars(synthesize_reference(b, cfg, checker, quota, seed))
     return got
 
 
@@ -307,11 +311,6 @@ def tee_chain(depth: int):
     nodes = [DagNode(K_INPUT, input=0)]
     nodes += [DagNode(K_OP, op="add", operands=(i, i)) for i in range(depth)]
     return dataclasses.replace(block_of(IN(0), 1), dag=Dag(tuple(nodes), depth))
-
-
-def _units(n: int) -> float:
-    """Budget seconds worth exactly n work units."""
-    return (n + 0.5) / synth.WORK_UNITS_PER_SECOND
 
 
 CONSTS = [0, 1, -1, 2, 7, -9, 255, 2**31 - 1, -(2**31)]
@@ -341,22 +340,20 @@ def synthesis_cases(draw):
         vocabulary=vocabulary,
         pool_base=tuple(draw(st.lists(st.sampled_from(CONSTS), max_size=3, unique=True))),
         prefilter_random=draw(st.sampled_from([1, 8, 64])),
-        seed=draw(st.integers(0, 3)),
         max_replacements=draw(st.sampled_from([1, 3, 24, 10**6])),
     )
+    seed = draw(st.integers(0, 3))
     # a budget of some candidates' worth of units, plus part of one more
-    vectors = prefilter_vectors(b, cfg)
+    vectors = prefilter_vectors(b, cfg, seed)
     charge = max(len(vectors[0]) if vectors else 1, 16)
     candidates = draw(st.one_of(st.integers(0, 20), st.integers(20, 3000)))
-    cfg = dataclasses.replace(
-        cfg, budget_seconds=_units(candidates * charge + draw(st.integers(0, charge - 1)))
-    )
+    quota = candidates * charge + draw(st.integers(0, charge - 1))
     checker = CheckerConfig(
         mode=draw(st.sampled_from(["probable-ok", "exhaustive-only"])),
         widths=(4,),
         samples=draw(st.sampled_from([0, 64, 4000])),
     )
-    return b, cfg, checker
+    return b, cfg, checker, quota, seed
 
 
 @pytest.mark.parametrize("batching", BATCHING)
@@ -368,42 +365,42 @@ def test_batched_synthesis_matches_oracle(batching, case):
 
 @pytest.mark.parametrize("batching", BATCHING)
 @pytest.mark.parametrize(
-    "tree, n_inputs, cfg, checker, expect",
+    "tree, n_inputs, cfg, checker, expect",  # each cfg is (SynthesisConfig, quota)
     [
         # zero-input block: the inferred constant comes first, at index -1
         (("sub", ("mul", C(158), C(160)), C(16)), 0,
-         SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("add", "shl", "const"),
-                         budget_seconds=_units(40_000)),
+         (SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("add", "shl", "const")), 40_000),
          FAST_CHECKER, lambda r: r.replacements[0].candidate.index == -1),
         # const-only vocabulary: nothing to enumerate beyond the inferred constant
-        (("and", IN(0), C(0)), 1, SynthesisConfig(vocabulary=Vocabulary.of("const")),
+        (("and", IN(0), C(0)), 1, (SynthesisConfig(vocabulary=Vocabulary.of("const")), QUOTA),
          FAST_CHECKER, lambda r: r.candidates_seen == 1 and r.stopped == "complete"),
         # the budget stops at the first candidate
-        (("mul", IN(0), C(2)), 1, SynthesisConfig(budget_seconds=_units(0)),
+        (("mul", IN(0), C(2)), 1, (SynthesisConfig(), 0),
          FAST_CHECKER, lambda r: (r.candidates_seen, r.stopped) == (1, "budget")),
         # the budget stops mid-chunk (a chunk holds 115 candidates of 71 vectors)
-        (("mul", IN(0), C(2)), 1, SynthesisConfig(max_size=2, budget_seconds=_units(71 * 300)),
+        (("mul", IN(0), C(2)), 1, (SynthesisConfig(max_size=2), 71 * 300),
          FAST_CHECKER, lambda r: r.stopped == "budget" and r.candidates_seen == 278),
         # the replacement cap
-        (("add", IN(0), IN(1)), 2, SynthesisConfig(max_size=2, max_replacements=3),
+        (("add", IN(0), IN(1)), 2, (SynthesisConfig(max_size=2, max_replacements=3), QUOTA),
          FAST_CHECKER, lambda r: r.stopped == "cap" and len(r.replacements) == 3),
         # checker evaluations push the work units past the quota
         (("add", IN(0), IN(0)), 1,
-         SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("add", "shl", "const"),
-                         budget_seconds=_units(20_000), max_replacements=10**6),
+         (SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("add", "shl", "const"),
+                          max_replacements=10**6), 20_000),
          CheckerConfig(samples=30_000),
          lambda r: r.stopped == "budget" and r.work_units > 30_000),
         # every input-block check is infeasible: nothing is kept, nothing charged
-        (("mul", IN(0), C(2)), 1, SynthesisConfig(max_size=2, budget_seconds=_units(40_000)),
+        (("mul", IN(0), C(2)), 1, (SynthesisConfig(max_size=2), 40_000),
          CheckerConfig(mode="exhaustive-only"), lambda r: not r.replacements),
         # a block of 3 ops that the size-3 stream contains: its own tree is skipped
         (("add", ("add", IN(0), IN(0)), ("add", IN(0), IN(0))), 1,
-         SynthesisConfig(vocabulary=Vocabulary.of("add", "const"), pool_base=(1,)),
+         (SynthesisConfig(vocabulary=Vocabulary.of("add", "const"), pool_base=(1,)), QUOTA),
          FAST_CHECKER, lambda r: r.stopped == "complete"),
     ],
 )
 def test_batched_synthesis_edge_cases(batching, tree, n_inputs, cfg, checker, expect):
-    got = _assert_matches_oracle(batching, block_of(tree, n_inputs), cfg, checker)
+    cfg, quota = cfg
+    got = _assert_matches_oracle(batching, block_of(tree, n_inputs), cfg, checker, quota)
     assert expect(got)
 
 
@@ -411,10 +408,10 @@ def test_deep_sharing_never_builds_the_block_key(monkeypatch):
     def refuse(dag):
         raise AssertionError("block key built")
 
-    cfg = SynthesisConfig(max_size=3, budget_seconds=0.01)
+    cfg = SynthesisConfig(max_size=3)
     with monkeypatch.context() as mp:
         mp.setattr(synth, "_reachable_key", refuse)
-        deep = synthesize_replacements(tee_chain(19), cfg, FAST_CHECKER)
+        deep = synthesize_replacements(tee_chain(19), cfg, FAST_CHECKER, 80_000, 0)
     assert deep.stopped == "budget" and deep.candidates_seen > 0
     # a short chain (3 ops, within max_size) still excludes its own tree
     short = SynthesisConfig(max_size=3, vocabulary=Vocabulary.of("add", "const"), pool_base=())

@@ -10,7 +10,10 @@ from crow.equiv import CheckerConfig, eval_dag
 from crow.interp import instantiate, invoke
 from crow.ir import PURE_OPS, PureBlock, extract_module_blocks
 from crow.metrics import dt_static
-from crow.synth import Candidate, Replacement, SynthesisConfig, Vocabulary, synthesize_replacements
+from crow.synth import (
+    WORK_UNITS_PER_SECOND, Candidate, Replacement, SynthesisConfig, Vocabulary,
+    synthesize_replacements,
+)
 from crow.variants import (
     ReplacementSet,
     _decode_plan,
@@ -162,7 +165,7 @@ def test_empty_plan_rejected():
 def synth_set(m, vocab=("shl", "add", "mul", "const"), max_size=2, cap=12):
     blocks = extract_module_blocks(m)
     cfg = SynthesisConfig(max_size=max_size, vocabulary=Vocabulary.of(*vocab), max_replacements=cap)
-    reps = {b.id: synthesize_replacements(b, cfg, FAST).replacements for b in blocks}
+    reps = {b.id: synthesize_replacements(b, cfg, FAST, 60 * WORK_UNITS_PER_SECOND, 0).replacements for b in blocks}
     return blocks, resolve_overlaps(blocks, reps)
 
 

@@ -30,6 +30,9 @@ TIER_VERIFIED = "verified"
 TIER_PROBABLE = "probable"
 TIER_REJECTED = "rejected"
 
+# The methods that can admit a candidate at each tier.
+TIER_METHODS = {TIER_VERIFIED: ("exhaustive", "smt"), TIER_PROBABLE: ("reduced-width",)}
+
 
 class InfeasibleDomainError(Exception):
     """The requested exhaustive sweep does not fit in the evaluation budget."""

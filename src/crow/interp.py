@@ -9,22 +9,49 @@ final pop/push pair with the same value. Values discarded by br/return
 unwinding also emit pop events. Locals, globals, and memory writes are not
 events.
 
-Fuel counts trace events; execution stops with a fuel-exhausted outcome when
-it runs out. Every state change emits an event, so a branch back to a loop
-whose last iteration emitted none repeats that iteration forever; it ends the
-run as fuel-exhausted at once. A generous instruction ceiling backs this up
-so event-free call trees cannot hang the interpreter either.
+A trace is an int64 code buffer (`array('q')`, 8 bytes per event): event i
+is the code 2*value + 1 for a push and 2*value for a pop, so two codes are
+equal exactly when the events are, and the DTW layer reads the buffer as it
+is. `Trace` wraps the buffer and shows its codes as `TraceEvent`s. Trace files
+keep the `push N`/`pop N` line format; codes are converted at the file
+boundary only.
+
+`instantiate` decodes each function body once into (opcode, immediate,
+target) triples. Branch targets, and the stack height a branch unwinds to,
+are resolved from static stack depths (blocks are void), so block, end and
+nop do no work at run time. One dispatch loop runs every frame of an
+invocation.
+
+Fuel counts trace events. The loop records events without testing the fuel;
+it compares the trace length with the fuel at loop back-edges, calls,
+returns and every exit (result, trap, instruction ceiling). A run that
+recorded more events than its fuel is cut to the fuel and reports
+fuel-exhausted: execution is deterministic, so this is the trace and outcome
+of a run stopped at its first event past the fuel. Between two checks the
+loop runs at most one function body's worth of instructions, whose writes to
+globals and memory stay. No later run on the same state can observe them:
+its fuel is then 0, and reading a global or memory is an event.
+
+Every state change emits an event, so a branch back to a loop whose last
+iteration emitted none repeats that iteration forever; it ends the run as
+fuel-exhausted at once. A generous instruction ceiling, tested on every
+instruction, backs this up so event-free call trees cannot hang the
+interpreter either.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .ir import OP_TO_MNEMONIC, PURE_OPS, SEMANTICS, width_constants
-from .wat import INT32_MAX, INT32_MIN, Instr, Module, validate, wrap_i32
+from .wat import INSTRUCTIONS, INT32_MAX, INT32_MIN, FuncDef, Module, validate, wrap_i32
 
 DEFAULT_FUEL = 50_000_000
+MAX_CALL_DEPTH = 256
 
 
 class TraceEvent(NamedTuple):
@@ -32,7 +59,45 @@ class TraceEvent(NamedTuple):
     value: int
 
 
-Trace = list[TraceEvent]
+def _event(code: int) -> TraceEvent:
+    return TraceEvent("push" if code & 1 else "pop", code >> 1)
+
+
+class Trace:
+    """A read-only view of an int64 code buffer as a sequence of events.
+
+    Indexing gives a `TraceEvent`, a slice gives a list of them, and a trace
+    equals another trace with the same codes or a list of the same events.
+    `codes` is the buffer itself."""
+
+    __slots__ = ("codes",)
+
+    def __init__(self, codes: array):
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(_event, self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_event(c) for c in self.codes[i]]
+        return _event(self.codes[i])
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self.codes == other.codes
+        if isinstance(other, list):
+            return len(other) == len(self.codes) and list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        head = ", ".join(f"{k} {v}" for k, v in self[:8])
+        return f"Trace({len(self)} events: {head}{', ...' if len(self) > 8 else ''})"
 
 
 @dataclass(frozen=True)
@@ -78,47 +143,6 @@ class _FuelExhausted(Exception):
     pass
 
 
-def _match_control(body: tuple[Instr, ...]):
-    """Maps each block/loop/if site to its end (and else) site."""
-    end_of: dict[int, int] = {}
-    else_of: dict[int, int] = {}
-    stack: list[int] = []
-    for i, ins in enumerate(body):
-        if ins.mnemonic in ("block", "loop", "if"):
-            stack.append(i)
-        elif ins.mnemonic == "else":
-            else_of[stack[-1]] = i
-        elif ins.mnemonic == "end":
-            end_of[stack.pop()] = i
-    return end_of, else_of
-
-
-@dataclass
-class MachineState:
-    module: Module
-    globals: list[int]
-    memory: bytearray
-    fuel: int
-    instruction_ceiling: int
-    control: list[tuple[dict[int, int], dict[int, int]]] = field(default_factory=list)
-    instructions_executed: int = 0
-
-
-def instantiate(m: Module, fuel: int = DEFAULT_FUEL) -> MachineState:
-    """Globals initialized, memory zero-filled, control structure indexed."""
-    diags = validate(m)
-    if diags:
-        raise ValueError(f"module does not validate: {diags[0]}")
-    return MachineState(
-        module=m,
-        globals=[g.init for g in m.globals],
-        memory=bytearray((m.memory or 0) * 65536),
-        fuel=fuel,
-        instruction_ceiling=fuel * 16 + 1_000_000,
-        control=[_match_control(f.body) for f in m.functions],
-    )
-
-
 def _u32(v: int) -> int:
     return v & 0xFFFFFFFF
 
@@ -143,155 +167,337 @@ _TRAPPING = {
     "i32.rem_s": _rem_s,
     "i32.rem_u": lambda a, b: wrap_i32(_u32(a) % _u32(b)),
 }
-_PURE = {mn: (SEMANTICS[op].fn, PURE_OPS[op]) for op, mn in OP_TO_MNEMONIC.items()}
 _I32 = width_constants(32)
 
+# Opcodes of the decoded form. A decoded instruction is (opcode, a, b):
+# LOCAL_*/GLOBAL_*: a = index; CONST: a = value, b = its push code;
+# UNARY/BINARY/TERNARY: a = semantics function; DIVIDE: a = trapping function;
+# CALL: a = callee; LOOP: b = body start; IF: b = first instruction of the
+# false arm (past `else`, or past `end`); ELSE: b = the matching `end`;
+# BR*: a = stack height of the target frame, b = where execution continues.
+(LOCAL_GET, CONST, BINARY, LOCAL_SET, NOP, LOCAL_TEE, BR_IF_LOOP, BR_IF, BR,
+ BR_LOOP, IF, ELSE, LOOP, UNARY, TERNARY, DIVIDE, GLOBAL_GET, GLOBAL_SET, LOAD,
+ STORE, DROP, CALL, RETURN, EXIT, UNREACHABLE) = range(25)
 
-def _run(state: MachineState, fn_index: int, locals_: list[int], trace: Trace,
-         depth: int, entry: bool) -> int | None:
-    if depth > 256:
-        raise _Trap("call-depth")
-    module = state.module
-    f = module.functions[fn_index]
-    body = f.body
-    end_of, else_of = state.control[fn_index]
+
+def _effect(mn: str) -> int:
+    _, pops, pushes = INSTRUCTIONS[mn]
+    return pushes - pops
+
+
+# mnemonic -> (opcode, a, stack effect) for every instruction whose decoded
+# form does not depend on its position or callee; a None `a` takes the
+# instruction's immediate. Code after return or unreachable never runs, so
+# their stack effect does not matter.
+_STRAIGHT = {
+    mn: (op, None, _effect(mn))
+    for mn, op in (
+        ("local.get", LOCAL_GET), ("local.set", LOCAL_SET), ("local.tee", LOCAL_TEE),
+        ("global.get", GLOBAL_GET), ("global.set", GLOBAL_SET), ("i32.load", LOAD),
+        ("i32.store", STORE), ("drop", DROP), ("nop", NOP), ("return", RETURN),
+        ("unreachable", UNREACHABLE),
+    )
+}
+_STRAIGHT.update(
+    (mn, ((UNARY, BINARY, TERNARY)[PURE_OPS[op] - 1], SEMANTICS[op].fn, _effect(mn)))
+    for op, mn in OP_TO_MNEMONIC.items()
+)
+_STRAIGHT.update((mn, (DIVIDE, fn, _effect(mn))) for mn, fn in _TRAPPING.items())
+
+
+class _Function(NamedTuple):
+    code: tuple[tuple, ...]  # decoded body, closed by an EXIT sentinel
+    params: int
+    results: int
+    locals: int
+
+
+def _decode(f: FuncDef, functions: tuple[FuncDef, ...]) -> _Function:
+    """Resolves the structured control of a validated body. Blocks are void,
+    so a frame's entry height is the stack depth at its opening instruction
+    (less the `if` condition). Code after br, return or unreachable never
+    runs before its frame's `else` or `end`, so the heights given to it do
+    not matter."""
+    end_of: dict[int, int] = {}
+    else_of: dict[int, int] = {}
+    sites: list[int] = []
+    for i, ins in enumerate(f.body):
+        mn = ins.mnemonic
+        if mn == "block" or mn == "loop" or mn == "if":
+            sites.append(i)
+        elif mn == "else":
+            else_of[sites[-1]] = i
+        elif mn == "end":
+            end_of[sites.pop()] = i
+    code = []
+    labels: list[tuple[int, int, bool]] = []  # (entry height, branch target, loop?)
+    depth = 0
+    for i, ins in enumerate(f.body):
+        mn, imm = ins.mnemonic, ins.immediate
+        straight = _STRAIGHT.get(mn)
+        if straight is not None:
+            op, a, effect = straight
+            code.append((op, imm if a is None else a, None))
+            depth += effect
+        elif mn == "i32.const":
+            code.append((CONST, imm, 2 * imm + 1))
+            depth += 1
+        elif mn == "block" or mn == "loop":
+            loop = mn == "loop"
+            labels.append((depth, i + 1 if loop else end_of[i] + 1, loop))
+            code.append((LOOP, None, i + 1) if loop else (NOP, None, None))
+        elif mn == "if":
+            depth -= 1
+            labels.append((depth, end_of[i] + 1, False))
+            code.append((IF, None, else_of.get(i, end_of[i]) + 1))
+        elif mn == "else":
+            depth, target, _ = labels[-1]
+            code.append((ELSE, None, target - 1))
+        elif mn == "end":
+            depth = labels.pop()[0]
+            code.append((NOP, None, None))
+        elif mn == "br" or mn == "br_if":
+            height, target, loop = labels[-1 - imm]
+            if mn == "br":
+                code.append((BR_LOOP if loop else BR, height, target))
+            else:
+                depth -= 1
+                code.append((BR_IF_LOOP if loop else BR_IF, height, target))
+        else:
+            assert mn == "call", mn
+            depth += functions[imm].results - functions[imm].params
+            code.append((CALL, imm, None))
+    code.append((EXIT, None, None))
+    return _Function(tuple(code), f.params, f.results, f.locals)
+
+
+@dataclass
+class MachineState:
+    module: Module
+    globals: list[int]
+    memory: bytearray
+    fuel: int
+    instruction_ceiling: int
+    functions: list[_Function] = field(default_factory=list)
+    instructions_executed: int = 0
+
+
+def instantiate(m: Module, fuel: int = DEFAULT_FUEL) -> MachineState:
+    """Globals initialized, memory zero-filled, function bodies decoded."""
+    diags = validate(m)
+    if diags:
+        raise ValueError(f"module does not validate: {diags[0]}")
+    return MachineState(
+        module=m,
+        globals=[g.init for g in m.globals],
+        memory=bytearray((m.memory or 0) * 65536),
+        fuel=fuel,
+        instruction_ceiling=fuel * 16 + 1_000_000,
+        functions=[_decode(f, m.functions) for f in m.functions],
+    )
+
+
+def _execute(state: MachineState, codes: array, fn_index: int, locals_: list[int],
+             fuel: int) -> int | None:
+    """Runs one entry function to its result, appending event codes to
+    `codes`; raises _Trap or _FuelExhausted to end the run otherwise. May
+    record events past `fuel` (see the module docstring)."""
+    functions = state.functions
+    globals_ = state.globals
+    memory = state.memory
+    ceiling = state.instruction_ceiling
+    n = state.instructions_executed
+    append = codes.append
+    k32 = _I32
+    frames: list[tuple] = []  # the callers' (code, resume ip, stack, locals, marks, results)
+    code, _, results, _ = functions[fn_index]
     stack: list[int] = []
-    # (kind, entry depth, site, fuel when a loop's iteration began) per open frame
-    ctrl: list[tuple[str, int, int, int]] = []
-
-    def push(v: int):
-        if state.fuel <= 0:
-            raise _FuelExhausted()
-        state.fuel -= 1
-        trace.append(TraceEvent("push", v))
-        stack.append(v)
-
-    def pop() -> int:
-        if state.fuel <= 0:
-            raise _FuelExhausted()
-        state.fuel -= 1
-        v = stack.pop()
-        trace.append(TraceEvent("pop", v))
-        return v
-
-    def leave(value: int | None):
-        """Transfer on function exit; entry frames keep the final push."""
-        while stack:
-            pop()
-        if entry and value is not None:
-            push(value)
-        return value
-
+    push, pop = stack.append, stack.pop
+    marks: dict[int, int] = {}  # loop body start -> trace length when its iteration began
     ip = 0
-    while ip < len(body):
-        state.instructions_executed += 1
-        if state.instructions_executed > state.instruction_ceiling:
-            raise _FuelExhausted()
-        ins = body[ip]
-        m = ins.mnemonic
-        if m == "i32.const":
-            push(ins.immediate)
-        elif m == "local.get":
-            push(locals_[ins.immediate])
-        elif m == "local.set":
-            locals_[ins.immediate] = pop()
-        elif m == "local.tee":
-            v = pop()
-            locals_[ins.immediate] = v
-            push(v)
-        elif m == "global.get":
-            push(state.globals[ins.immediate])
-        elif m == "global.set":
-            state.globals[ins.immediate] = pop()
-        elif m == "i32.load":
-            addr = _u32(pop())
-            if addr + 4 > len(state.memory):
-                raise _Trap("out-of-bounds")
-            push(wrap_i32(int.from_bytes(state.memory[addr : addr + 4], "little")))
-        elif m == "i32.store":
-            v = pop()
-            addr = _u32(pop())
-            if addr + 4 > len(state.memory):
-                raise _Trap("out-of-bounds")
-            state.memory[addr : addr + 4] = _u32(v).to_bytes(4, "little")
-        elif m == "drop":
-            pop()
-        elif m == "block" or m == "loop":
-            ctrl.append((m, len(stack), ip, state.fuel))
-        elif m == "if":
-            c = pop()
-            if c != 0:
-                ctrl.append(("if", len(stack), ip, state.fuel))
-            elif ip in else_of:
-                ctrl.append(("if", len(stack), ip, state.fuel))
-                ip = else_of[ip]
-            else:
-                ip = end_of[ip]
-        elif m == "else":
-            # falling into else means the then-arm finished: skip to end
-            ip = end_of[ctrl[-1][2]]
-            continue
-        elif m == "end":
-            if ctrl and end_of.get(ctrl[-1][2]) == ip:
-                ctrl.pop()
-        elif m == "br" or m == "br_if":
-            taken = True
-            if m == "br_if":
-                taken = pop() != 0
-            if taken:
-                target = ctrl[len(ctrl) - 1 - ins.immediate]
-                while len(stack) > target[1]:
-                    pop()
-                if target[0] == "loop":
-                    if target[3] == state.fuel:
-                        raise _FuelExhausted()
-                    del ctrl[len(ctrl) - ins.immediate :]
-                    ctrl[-1] = (*target[:3], state.fuel)
-                    ip = target[2] + 1
-                    continue
-                del ctrl[len(ctrl) - 1 - ins.immediate :]
-                ip = end_of[target[2]] + 1
+    try:
+        while True:
+            op, a, b = code[ip]
+            n += 1
+            if n > ceiling and op != EXIT:
+                raise _FuelExhausted()
+            if op == LOCAL_GET:
+                v = locals_[a]
+                push(v)
+                append(v + v + 1)
+            elif op == CONST:
+                push(a)
+                append(b)
+            elif op == BINARY:
+                y = pop()
+                x = stack[-1]
+                r = a(k32, x & 0xFFFFFFFF, y & 0xFFFFFFFF)
+                if r > 0x7FFFFFFF:
+                    r -= 0x100000000
+                stack[-1] = r
+                append(y + y)
+                append(x + x)
+                append(r + r + 1)
+            elif op == LOCAL_SET:
+                v = pop()
+                locals_[a] = v
+                append(v + v)
+            elif op == NOP:
+                pass
+            elif op == LOCAL_TEE:
+                v = stack[-1]
+                locals_[a] = v
+                append(v + v)
+                append(v + v + 1)
+            elif op == BR_IF_LOOP or op == BR_LOOP:
+                if op == BR_IF_LOOP:
+                    v = pop()
+                    append(v + v)
+                    if not v:
+                        ip += 1
+                        continue
+                while len(stack) > a:
+                    v = pop()
+                    append(v + v)
+                t = len(codes)
+                if t > fuel or marks[b] == t:
+                    raise _FuelExhausted()
+                marks[b] = t
+                ip = b
                 continue
-        elif m == "return":
-            value = pop() if f.results else None
-            return leave(value)
-        elif m == "call":
-            callee = module.functions[ins.immediate]
-            args = [pop() for _ in range(callee.params)][::-1]
-            value = _run(state, ins.immediate, args + [0] * callee.locals,
-                         trace, depth + 1, False)
-            if callee.results:
-                push(value)
-        elif m == "nop":
-            pass
-        elif m == "unreachable":
-            raise _Trap("unreachable")
-        elif m in _PURE:
-            fn, arity = _PURE[m]
-            if arity == 2:
-                b = pop() & 0xFFFFFFFF
-                r = fn(_I32, pop() & 0xFFFFFFFF, b)
-            elif arity == 1:
-                r = fn(_I32, pop() & 0xFFFFFFFF)
-            else:
-                c = pop() & 0xFFFFFFFF
-                b = pop() & 0xFFFFFFFF
-                r = fn(_I32, pop() & 0xFFFFFFFF, b, c)
-            push(wrap_i32(r))
-        elif m in _TRAPPING:
-            b = pop()
-            a = pop()
-            if b == 0:
-                raise _Trap("div-by-zero")
-            push(_TRAPPING[m](a, b))
-        else:  # pragma: no cover
-            raise AssertionError(m)
-        ip += 1
-
-    # fallthrough exit
-    if entry:
-        return stack[-1] if f.results else None
-    return pop() if f.results else None
+            elif op == BR_IF or op == BR:
+                if op == BR_IF:
+                    v = pop()
+                    append(v + v)
+                    if not v:
+                        ip += 1
+                        continue
+                while len(stack) > a:
+                    v = pop()
+                    append(v + v)
+                ip = b
+                continue
+            elif op == IF:
+                v = pop()
+                append(v + v)
+                if not v:
+                    ip = b
+                    continue
+            elif op == ELSE:  # the then-arm finished
+                ip = b
+                continue
+            elif op == LOOP:
+                marks[b] = len(codes)
+            elif op == UNARY:
+                x = stack[-1]
+                r = a(k32, x & 0xFFFFFFFF)
+                if r > 0x7FFFFFFF:
+                    r -= 0x100000000
+                stack[-1] = r
+                append(x + x)
+                append(r + r + 1)
+            elif op == TERNARY:
+                z = pop()
+                y = pop()
+                x = stack[-1]
+                r = a(k32, x & 0xFFFFFFFF, y & 0xFFFFFFFF, z & 0xFFFFFFFF)
+                if r > 0x7FFFFFFF:
+                    r -= 0x100000000
+                stack[-1] = r
+                append(z + z)
+                append(y + y)
+                append(x + x)
+                append(r + r + 1)
+            elif op == DIVIDE:
+                y = pop()
+                x = stack[-1]
+                append(y + y)
+                append(x + x)
+                if y == 0:
+                    raise _Trap("div-by-zero")
+                r = a(x, y)
+                stack[-1] = r
+                append(r + r + 1)
+            elif op == GLOBAL_GET:
+                v = globals_[a]
+                push(v)
+                append(v + v + 1)
+            elif op == GLOBAL_SET:
+                v = pop()
+                globals_[a] = v
+                append(v + v)
+            elif op == LOAD:
+                v = pop()
+                append(v + v)
+                addr = v & 0xFFFFFFFF
+                if addr + 4 > len(memory):
+                    raise _Trap("out-of-bounds")
+                v = wrap_i32(int.from_bytes(memory[addr : addr + 4], "little"))
+                push(v)
+                append(v + v + 1)
+            elif op == STORE:
+                v = pop()
+                append(v + v)
+                addr = pop()
+                append(addr + addr)
+                addr &= 0xFFFFFFFF
+                if addr + 4 > len(memory):
+                    raise _Trap("out-of-bounds")
+                memory[addr : addr + 4] = (v & 0xFFFFFFFF).to_bytes(4, "little")
+            elif op == DROP:
+                v = pop()
+                append(v + v)
+            elif op == CALL:
+                callee = functions[a]
+                args = []
+                for _ in range(callee.params):
+                    v = pop()
+                    append(v + v)
+                    args.append(v)
+                if len(frames) >= MAX_CALL_DEPTH:
+                    raise _Trap("call-depth")
+                if len(codes) > fuel:
+                    raise _FuelExhausted()
+                frames.append((code, ip + 1, stack, locals_, marks, results))
+                code, _, results, _ = callee
+                args.reverse()
+                locals_ = args + [0] * callee.locals
+                stack = []
+                push, pop = stack.append, stack.pop
+                marks = {}
+                ip = 0
+                continue
+            elif op == RETURN or op == EXIT:
+                if op == EXIT:
+                    n -= 1  # the sentinel is not an instruction
+                    if not frames:
+                        return stack[-1] if results else None
+                v = None
+                if results:
+                    v = pop()
+                    append(v + v)
+                while stack:  # left only by `return`
+                    w = pop()
+                    append(w + w)
+                if not frames:  # the entry frame keeps its result
+                    if v is not None:
+                        append(v + v + 1)
+                    return v
+                if len(codes) > fuel:
+                    raise _FuelExhausted()
+                code, ip, stack, locals_, marks, results = frames.pop()
+                push, pop = stack.append, stack.pop
+                if v is not None:
+                    push(v)
+                    append(v + v + 1)
+                continue
+            elif op == UNREACHABLE:
+                raise _Trap("unreachable")
+            else:  # pragma: no cover
+                raise AssertionError(op)
+            ip += 1
+    finally:
+        state.instructions_executed = n
 
 
 def invoke(state: MachineState, export_name: str, args: list[int]) -> tuple[Outcome, Trace]:
@@ -302,27 +508,37 @@ def invoke(state: MachineState, export_name: str, args: list[int]) -> tuple[Outc
     f = state.module.functions[fn_index]
     if len(args) != f.params:
         raise InvokeError(f"{export_name!r} takes {f.params} argument(s), got {len(args)}")
-    trace: Trace = []
+    codes = array("q")
+    fuel = max(state.fuel, 0)
     locals_ = [wrap_i32(a) for a in args] + [0] * f.locals
     try:
-        value = _run(state, fn_index, locals_, trace, 0, True)
+        outcome = Outcome.result(_execute(state, codes, fn_index, locals_, fuel))
     except _Trap as t:
-        return Outcome.trap(t.reason), trace
+        outcome = Outcome.trap(t.reason)
     except _FuelExhausted:
-        return Outcome.fuel_exhausted(), trace
-    return Outcome.result(value if f.results else None), trace
+        outcome = Outcome.fuel_exhausted()
+    if len(codes) > fuel:
+        del codes[fuel:]
+        outcome = Outcome.fuel_exhausted()
+    state.fuel -= len(codes)
+    return outcome, Trace(codes)
 
 
 # --- trace files ---------------------------------------------------------------
 
 TRACE_HEADER = "# crow-trace v1"
+_WRITE_CHUNK = 1 << 16  # events formatted per write, bounding the text held at once
+_KIND = ("pop ", "push ")
 
 
 def write_trace(trace: Trace, outcome: Outcome, sink, entry: str = "main") -> None:
     """Line format: header, one `push N`/`pop N` per event, one terminator."""
     sink.write(f"{TRACE_HEADER} entry={entry}\n")
-    for ev in trace:
-        sink.write(f"{ev.kind} {ev.value}\n")
+    codes = np.frombuffer(trace.codes, dtype=np.int64)
+    for start in range(0, len(codes), _WRITE_CHUNK):
+        chunk = codes[start : start + _WRITE_CHUNK]
+        kinds, values = (chunk & 1).tolist(), (chunk >> 1).tolist()
+        sink.write("".join([f"{_KIND[k]}{v}\n" for k, v in zip(kinds, values)]))
     sink.write(f"{outcome}\n")
 
 
@@ -340,7 +556,7 @@ def read_trace(source) -> tuple[Trace, Outcome]:
     lines = [ln.rstrip("\n") for ln in source]
     if not lines or not lines[0].startswith(TRACE_HEADER):
         raise TraceFormatError("missing trace header")
-    trace: Trace = []
+    codes = array("q")
     outcome: Outcome | None = None
     for ln in lines[1:]:
         if not ln.strip():
@@ -351,7 +567,7 @@ def read_trace(source) -> tuple[Trace, Outcome]:
         if kind in ("push", "pop"):
             if len(rest) != 1:
                 raise TraceFormatError(f"malformed event: {ln!r}")
-            trace.append(TraceEvent(kind, _i32_field(rest[0], ln)))
+            codes.append(2 * _i32_field(rest[0], ln) + (kind == "push"))
         elif kind == "result" and len(rest) <= 1:
             outcome = Outcome.result(_i32_field(rest[0], ln) if rest else None)
         elif kind == "trap" and rest:
@@ -362,4 +578,4 @@ def read_trace(source) -> tuple[Trace, Outcome]:
             raise TraceFormatError(f"unrecognized line: {ln!r}")
     if outcome is None:
         raise TraceFormatError("missing terminator line")
-    return trace, outcome
+    return Trace(codes), outcome

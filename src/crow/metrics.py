@@ -46,9 +46,9 @@ def tokenize(m: Module) -> TokenSeq:
 
 
 def trace_tokens(trace: Trace) -> Codes:
-    """One code per event, 2*value + (kind == "push"): equal codes mean equal
-    events."""
-    return np.array([2 * v + (k == "push") for k, v in trace], dtype=np.int64)
+    """The trace's event codes, 2*value + (kind == "push"), as an int64 array
+    over the trace's own buffer (no copy): equal codes mean equal events."""
+    return np.frombuffer(trace.codes, dtype=np.int64)
 
 
 def _encode(a: TokenSeq | Codes, b: TokenSeq | Codes) -> tuple[Codes, Codes]:

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__, metrics
-from .equiv import CheckerConfig
+from .equiv import TIER_METHODS, CheckerConfig
 from .interp import DEFAULT_FUEL, Outcome, Trace, instantiate, invoke
 from .ir import Dag, DagNode, PureBlock, extract_module_blocks
 from .metrics import TokenSeq, dt_dyn, tokenize
@@ -181,6 +181,11 @@ def _stored_replacement(block: PureBlock, rep: dict) -> Replacement:
             raise ValueError(f"input {n.input} of a {len(block.inputs)}-input block")
         if n.kind == "const" and not (type(n.value) is int and INT32_MIN <= n.value <= INT32_MAX):
             raise ValueError(f"constant {n.value!r} is not an i32")
+    if rep["method"] not in TIER_METHODS.get(rep["tier"], ()):
+        raise ValueError(f"tier {rep['tier']!r} with method {rep['method']!r}")
+    for key in ("enum_index", "emitted_len"):
+        if type(rep[key]) is not int:
+            raise ValueError(f"{key} {rep[key]!r} is not an int")
     return Replacement(block_id=block.id, candidate=Candidate(dag, rep["enum_index"]),
                        tier=rep["tier"], method=rep["method"], emitted_len=rep["emitted_len"])
 

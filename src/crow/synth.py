@@ -330,18 +330,13 @@ def prefilter_vectors(b: PureBlock, cfg: SynthesisConfig, seed: int):
     ]
 
 
-def infer_constant(b: PureBlock, cfg: SynthesisConfig, seed: int) -> Candidate | None:
-    """Proposes const(v) when the block evaluates to the same v on every
-    prefilter vector (always, for zero-input blocks). Still subject to the
-    full equivalence check downstream."""
-    if len(b.inputs) == 0:
-        v = equiv.eval_dag(b.dag, (), 32)
-    else:
-        vals = np.atleast_1d(batch_eval(b.dag, prefilter_vectors(b, cfg, seed), 32))
-        if not bool(np.all(vals == vals[0])):
-            return None
-        v = wrap_i32(int(vals[0]))
-    return Candidate(Dag((DagNode(K_CONST, value=v),), 0), -1)
+def infer_constant(target: np.ndarray) -> Candidate | None:
+    """Proposes const(v) when the block's values on the prefilter vectors,
+    `target` (one value for a zero-input block), are all v. Still subject to
+    the full equivalence check downstream."""
+    if not bool(np.all(target == target[0])):
+        return None
+    return Candidate(Dag((DagNode(K_CONST, value=wrap_i32(int(target[0]))),), 0), -1)
 
 
 # --- the synthesis loop -----------------------------------------------------------
@@ -413,7 +408,7 @@ def synthesize_replacements(
 
     # The inferred constant agrees with the block on every prefilter vector
     # by construction, so it goes straight to the checker.
-    inferred = infer_constant(b, cfg, seed)
+    inferred = infer_constant(target)
     if inferred is not None and not is_self(inferred.dag, 0):
         if not pay(1) or not admit(inferred.dag, -1):
             return result

@@ -147,7 +147,7 @@ def synthesize_reference(b, cfg, checker, quota, seed) -> BlockSynthesis:
             return False
         return True
 
-    inferred = infer_constant(b, cfg, seed)
+    inferred = infer_constant(np.atleast_1d(batch_eval(b.dag, vectors, 32)))
     if inferred is not None and _reachable_key(inferred.dag) != self_key:
         if not consider(inferred.dag, None, -1):
             return result

@@ -117,13 +117,35 @@ def _edit_first_node(kind, key, value):
     return edit
 
 
+def _edit_first_replacement(**fields):
+    """Store edit: overwrites `fields` of the first stored replacement."""
+    def edit(store):
+        rep = next(rep for block in store["blocks"] for rep in block["replacements"])
+        rep.update(fields)
+        return store
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda store: {k: v for k, v in store.items() if k != "blocks"},
     lambda store: [store],
     _edit_first_node("op", "op", "nope"),
     _edit_first_node("input", "input", 5),  # every mul_add block has one input
     _edit_first_node("const", "value", 2**40),
-], ids=["no-blocks", "top-level-list", "unknown-op", "input-out-of-range", "const-not-i32"])
+    _edit_first_replacement(tier=None),
+    _edit_first_replacement(tier="rejected", method="exhaustive"),
+    _edit_first_replacement(tier="verified", method="sampled"),
+    _edit_first_replacement(tier="verified", method="reduced-width"),
+    _edit_first_replacement(tier="probable", method="exhaustive"),
+    _edit_first_replacement(tier="probable", method="smt"),
+    _edit_first_replacement(enum_index="3"),
+    _edit_first_replacement(enum_index=True),
+    _edit_first_replacement(emitted_len=2.0),
+    _edit_first_replacement(emitted_len=None),
+], ids=["no-blocks", "top-level-list", "unknown-op", "input-out-of-range", "const-not-i32",
+        "tier-null", "tier-rejected", "method-unknown", "verified-reduced-width",
+        "probable-exhaustive", "probable-smt", "enum-index-str", "enum-index-bool",
+        "emitted-len-float", "emitted-len-null"])
 def test_generate_rejects_malformed_store(tmp_path, module_file, capsys, edit):
     store = tmp_path / "store.json"
     assert main(["explore", str(module_file), "-o", str(store), *SMALL]) == 0

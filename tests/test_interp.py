@@ -15,9 +15,13 @@ from crow.interp import (
     read_trace,
     write_trace,
 )
-from crow.wat import IMM_INDEX, IMM_NONE, IMM_VALUE, INSTRUCTIONS, parse_module
+from crow.metrics import trace_tokens
+from crow.wat import (
+    IMM_INDEX, IMM_NONE, IMM_VALUE, INSTRUCTIONS, INT32_MAX, INT32_MIN, parse_module,
+)
 
 from strategies import modules
+from traceutil import trace_of
 
 
 def run(text, name="main", args=(), fuel=DEFAULT_FUEL):
@@ -252,6 +256,60 @@ def test_eventless_call_tree_hits_instruction_ceiling():
     assert state.instructions_executed > state.instruction_ceiling
 
 
+# Each program reaches every exit the fuel checks guard: call argument
+# transfer and return unwinding, br/br_if unwinding and a loop back-edge,
+# both if arms with local.tee and select, and a trap after the last event.
+_IF_ELSE = """(module
+  (func (param i32) (result i32) (local i32)
+    local.get 0
+    if i32.const 10 local.tee 1 drop else i32.const 20 local.set 1 end
+    local.get 1 i32.const 7 local.get 0 select)
+  (export "main" (func 0)))"""
+_FUEL_PROGRAMS = {
+    "call-return": ("""(module
+      (func (param i32 i32) (result i32)
+        local.get 1 local.get 0 local.get 1 i32.sub return)
+      (func (result i32) i32.const 9 i32.const 4 call 0 i32.const 1 i32.add)
+      (export "main" (func 1)))""", []),
+    "br-unwinding": ("""(module
+      (func (result i32) (local i32)
+        i32.const 3 local.set 0
+        block
+          loop
+            i32.const 1 i32.const 2
+            local.get 0 i32.const 1 i32.sub local.tee 0
+            i32.eqz br_if 1
+            drop drop
+            br 0
+          end
+        end
+        block i32.const 5 i32.const 6 br 0 end
+        local.get 0)
+      (export "main" (func 0)))""", []),
+    "then-arm": (_IF_ELSE, [1]),
+    "else-arm": (_IF_ELSE, [0]),
+    "trap-after-last-event": ("""(module
+      (func (param i32) (result i32) local.get 0 i32.const 0 i32.div_s)
+      (func (result i32) i32.const 3 call 0)
+      (export "main" (func 1)))""", []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FUEL_PROGRAMS))
+def test_fuel_cuts_the_full_run_at_every_budget(name):
+    """At every fuel the run is the full run's prefix, and it ends as the full
+    run does only when the fuel covers every event."""
+    text, args = _FUEL_PROGRAMS[name]
+    full_outcome, full = run(text, args=args)
+    assert len(full) > 4 and full_outcome.kind != "fuel-exhausted"
+    for fuel in range(len(full) + 2):
+        state = instantiate(parse_module(text), fuel=fuel)
+        outcome, trace = invoke(state, "main", args)
+        assert trace == full[:fuel], fuel
+        assert outcome == (full_outcome if fuel >= len(full) else Outcome.fuel_exhausted())
+        assert state.fuel == fuel - len(trace)
+
+
 def test_zero_result_entry_with_return():
     text = """(module
       (func
@@ -274,14 +332,33 @@ def test_determinism(mul_add_text):
 
 def test_write_trace_format():
     buf = io.StringIO()
-    write_trace([TraceEvent("push", 10), TraceEvent("pop", 10)], Outcome.result(0), buf)
+    write_trace(trace_of([("push", 10), ("pop", 10)]), Outcome.result(0), buf)
     assert buf.getvalue() == "# crow-trace v1 entry=main\npush 10\npop 10\nresult 0\n"
 
 
 def test_write_trap_trace():
     buf = io.StringIO()
-    write_trace([], Outcome.trap("div-by-zero"), buf, entry="run")
+    write_trace(trace_of([]), Outcome.trap("div-by-zero"), buf, entry="run")
     assert buf.getvalue() == "# crow-trace v1 entry=run\ntrap div-by-zero\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2**16, 2**16 + 1])
+def test_trace_file_matches_event_lines(n):
+    """Codes are formatted in chunks of 2**16 events; the text must be the
+    per-event format at and across a chunk boundary, and read back to the
+    same codes."""
+    corners = [INT32_MIN, INT32_MAX, -1, 0, 1, INT32_MIN + 1, INT32_MAX - 1]
+    events = [(("push", "pop")[i * 7 % 3 == 0], corners[i % 7] if i % 2 else i * 40503 - 2**30)
+              for i in range(n)]
+    trace = trace_of(events)
+    buf = io.StringIO()
+    write_trace(trace, Outcome.result(INT32_MIN), buf)
+    lines = "".join(f"{k} {v}\n" for k, v in events)
+    assert buf.getvalue() == f"# crow-trace v1 entry=main\n{lines}result {INT32_MIN}\n"
+    buf.seek(0)
+    got, outcome = read_trace(buf)
+    assert got.codes == trace.codes and outcome == Outcome.result(INT32_MIN)
+    assert trace_tokens(got).tolist() == [2 * v + (k == "push") for k, v in events]
 
 
 def test_read_rejects_garbage():
@@ -317,7 +394,7 @@ def test_read_rejects_event_values_outside_i32():
     ),
 )
 def test_trace_roundtrip(events, out):
-    trace = [TraceEvent(k, v) for k, v in events]
+    trace = trace_of(events)
     if out is None:
         outcome = Outcome.fuel_exhausted()
     elif isinstance(out, int):

@@ -17,6 +17,7 @@ from crow.metrics import (
 from crow.wat import INT32_MAX, INT32_MIN, parse_module
 
 from dtw_oracle import dtw_diagonal, dtw_reference
+from traceutil import trace_of
 
 tokens = st.lists(st.sampled_from("ABC"), max_size=12)
 
@@ -135,14 +136,12 @@ def test_dt_static_unrelated_modules():
 
 
 def test_dt_dyn_identical_zero():
-    t = [TraceEvent("push", 1), TraceEvent("pop", 1)]
+    t = trace_of([("push", 1), ("pop", 1)])
     assert dt_dyn(t, t) == 0
 
 
 def test_dt_dyn_value_sensitivity():
-    t1 = [TraceEvent("push", 10)]
-    t2 = [TraceEvent("push", 20)]
-    assert dt_dyn(t1, t2) == 1
+    assert dt_dyn(trace_of([("push", 10)]), trace_of([("push", 20)])) == 1
 
 
 # --- integer event codes ----------------------------------------------------------
@@ -163,7 +162,8 @@ def _event_strings(trace):
 @settings(max_examples=300, deadline=None)
 @given(traces, traces)
 def test_dt_dyn_matches_reference_over_event_strings(t1, t2):
-    assert dt_dyn(t1, t2) == dtw_reference(_event_strings(t1), _event_strings(t2))
+    assert dt_dyn(trace_of(t1), trace_of(t2)) == dtw_reference(
+        _event_strings(t1), _event_strings(t2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,22 +173,23 @@ def test_dt_dyn_push_and_pop_of_one_value_differ(values, data):
     kinds = data.draw(st.lists(st.sampled_from(["push", "pop"]), min_size=n, max_size=n))
     t1 = [TraceEvent(k, v) for k, v in zip(kinds, values)]
     t2 = [TraceEvent("pop" if k == "push" else "push", v) for k, v in zip(kinds, values)]
-    assert dt_dyn(t1, t2) == dtw_reference(_event_strings(t1), _event_strings(t2)) > 0
+    assert dt_dyn(trace_of(t1), trace_of(t2)) == dtw_reference(
+        _event_strings(t1), _event_strings(t2)) > 0
 
 
 @settings(max_examples=300, deadline=None)
 @given(events, events)
 def test_trace_codes_equal_iff_events_equal(e1, e2):
-    c1, c2 = trace_tokens([e1, e2])
+    c1, c2 = trace_tokens(trace_of([e1, e2]))
     assert (c1 == c2) == (e1 == e2)
 
 
 def test_trace_codes_of_corner_events_are_distinct():
     evs = [TraceEvent(k, v) for k in ("push", "pop") for v in
            (INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1, INT32_MAX)]
-    codes = trace_tokens(evs)
+    codes = trace_tokens(trace_of(evs))
     assert codes.dtype == np.int64 and len(set(codes.tolist())) == len(evs)
-    assert trace_tokens([]).shape == (0,)
+    assert trace_tokens(trace_of([])).shape == (0,)
 
 
 @pytest.mark.parametrize("n,m", [(3, 7), (7, 3), (5, 5), (1, 9), (9, 1)])

@@ -79,55 +79,63 @@ def _solver_cmd(args) -> tuple[str, ...]:
     return tuple(shlex.split(raw)) if raw else ()
 
 
+# flag dest -> the RunConfig field it sets as it is
+_FIELDS = {
+    "seed": "seed", "jobs": "jobs", "timeout_secs": "timeout_seconds",
+    "max_variants": "max_variants", "rank_by_diff": "rank_by_diff", "strict": "strict",
+    "invoke": "invoke_name", "fuel": "fuel",
+}
+
+
 def _run_config(args) -> RunConfig:
+    """The run configuration from the flags the subcommand takes; fields it
+    takes no flag for keep their defaults."""
+    given = vars(args)
+    fields = {field: given[dest] for dest, field in _FIELDS.items() if dest in given}
     try:
-        vocabulary = Vocabulary.parse(args.vocab) if args.vocab else Vocabulary.default()
-        synthesis = SynthesisConfig(max_size=args.max_size, vocabulary=vocabulary)
-        checker = CheckerConfig(
-            mode={"exhaustive": "exhaustive-only", "probable": "probable-ok", "smt": "smt"}[
-                args.checker
-            ],
-            solver_cmd=_solver_cmd(args),
-        )
-        cfg = RunConfig(
-            synthesis=synthesis,
-            checker=checker,
-            max_variants=args.max_variants,
-            rank_by_diff=args.rank_by_diff,
-            strict=args.strict,
-            jobs=args.jobs,
-            timeout_seconds=args.timeout_secs,
-            seed=args.seed,
-            invoke_name=args.invoke,
-            invoke_args=tuple(_parse_args_list(args.args)),
-            fuel=args.fuel,
-        )
+        if "max_size" in given:  # the synthesis flags
+            vocabulary = Vocabulary.parse(args.vocab) if args.vocab else Vocabulary.default()
+            fields["synthesis"] = SynthesisConfig(max_size=args.max_size, vocabulary=vocabulary)
+            fields["checker"] = CheckerConfig(
+                mode={"exhaustive": "exhaustive-only", "probable": "probable-ok", "smt": "smt"}[
+                    args.checker
+                ],
+                solver_cmd=_solver_cmd(args),
+            )
+        if "args" in given:
+            fields["invoke_args"] = tuple(_parse_args_list(args.args))
+        cfg = RunConfig(**fields)
     except (ConfigError, KeyError) as e:
         raise _CliError(EXIT_CONFIG, str(e))
     errs = cfg.validate()
     if errs:
         raise _CliError(EXIT_CONFIG, "; ".join(errs))
-    if args.checker == "smt" and not cfg.checker.solver_cmd:
+    if cfg.checker.mode == "smt" and not cfg.checker.solver_cmd:
         raise _CliError(
             EXIT_CONFIG, f"--checker smt needs --solver-cmd or ${SOLVER_ENV}"
         )
     return cfg
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_synthesis(p: argparse.ArgumentParser):
     p.add_argument("--timeout-secs", type=float, default=60.0)
     p.add_argument("--max-size", type=int, default=3, help="max ops per candidate")
     p.add_argument("--vocab", default="", help="comma-separated candidate ops")
-    p.add_argument("--max-variants", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checker", choices=["exhaustive", "probable", "smt"], default="probable")
     p.add_argument("--solver-cmd", default="", help=f"SMT solver argv (or ${SOLVER_ENV})")
     p.add_argument("--jobs", type=int, default=1)
+
+
+def _add_generation(p: argparse.ArgumentParser):
+    p.add_argument("--max-variants", type=int, default=256)
+    p.add_argument("--rank-by-diff", action="store_true")
+    p.add_argument("--strict", action="store_true", help="use only verified replacements")
+
+
+def _add_run(p: argparse.ArgumentParser):
     p.add_argument("--invoke", default="main")
     p.add_argument("--args", default="", help="comma-separated i32 arguments")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--rank-by-diff", action="store_true")
-    p.add_argument("--strict", action="store_true", help="use only verified replacements")
 
 
 def _cmd_explore(args) -> int:
@@ -189,13 +197,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_trace(args) -> int:
     m = _load_module(args.module)
+    cfg = _run_config(args)
     try:
-        outcome, trace = trace_module(m, args.invoke, _parse_args_list(args.args), args.fuel)
+        outcome, trace = trace_module(m, cfg.invoke_name, list(cfg.invoke_args), cfg.fuel)
     except InvokeError as e:
         raise _CliError(EXIT_INPUT, str(e))
     sink = open(args.output, "w") if args.output else sys.stdout
     try:
-        write_trace(trace, outcome, sink, entry=args.invoke)
+        write_trace(trace, outcome, sink, entry=cfg.invoke_name)
     finally:
         if args.output:
             sink.close()
@@ -214,34 +223,36 @@ def _read_trace_file(path: str):
         raise _CliError(EXIT_INPUT, f"{path}: {e}")
 
 
-def _measure_pair(kind: str, left: str, right: str, normalize: bool) -> str:
+def _measure_pair(kind: str, left: str, right: str, a, b, normalize: bool) -> str:
+    """One row for the files `left` and `right`, loaded as `a` and `b`."""
     if kind == "static":
-        cost = dt_static(_load_module(left), _load_module(right))
-        return f"{left}\t{right}\tstatic\t{cost}"
-    ltrace, _ = _read_trace_file(left)
-    rtrace, _ = _read_trace_file(right)
-    cost = dt_dyn(ltrace, rtrace)
+        return f"{left}\t{right}\tstatic\t{dt_static(a, b)}"
+    cost = dt_dyn(a, b)
     row = f"{left}\t{right}\tdynamic\t{cost}"
     if normalize:
-        if not ltrace:
+        if not a:
             raise _CliError(EXIT_INPUT, f"{left}: empty trace cannot normalize")
-        row += f"\t{cost / len(ltrace):.6f}"
+        row += f"\t{cost / len(a):.6f}"
     return row
 
 
 def _cmd_measure(args) -> int:
-    rows = []
     if args.right is None:
         root = Path(args.left)
         if not root.is_dir():
             raise _CliError(EXIT_INPUT, f"{args.left}: directory expected when RIGHT is omitted")
         suffix = ".wat" if args.kind == "static" else ".trace"
         files = sorted(str(p) for p in root.iterdir() if p.suffix == suffix)
-        for i in range(len(files)):
-            for j in range(i + 1, len(files)):
-                rows.append(_measure_pair(args.kind, files[i], files[j], args.normalize))
     else:
-        rows.append(_measure_pair(args.kind, args.left, args.right, args.normalize))
+        files = [args.left, args.right]
+    if args.kind == "static":
+        loaded = [_load_module(path) for path in files]
+    else:
+        loaded = [_read_trace_file(path)[0] for path in files]
+    rows = [
+        _measure_pair(args.kind, files[i], files[j], loaded[i], loaded[j], args.normalize)
+        for i in range(len(files)) for j in range(i + 1, len(files))
+    ]
     print("\n".join(rows))
     return EXIT_OK
 
@@ -273,22 +284,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="synthesize replacements for all pure blocks")
     p.add_argument("module")
     p.add_argument("-o", "--output", default="replacements.json")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_synthesis(p)
     p.set_defaults(fn=_cmd_explore)
 
     p = sub.add_parser("generate", help="emit unique variants from a replacement store")
     p.add_argument("module")
     p.add_argument("store")
     p.add_argument("-o", "--output", default="variants")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_generation(p)
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("trace", help="execute an export and record its stack trace")
     p.add_argument("module")
     p.add_argument("-o", "--output", default="")
-    p.add_argument("--invoke", default="main")
-    p.add_argument("--args", default="")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    _add_run(p)
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("measure", help="DTW distance between modules or traces")
@@ -301,7 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diversify", help="explore, generate, trace, and measure")
     p.add_argument("module")
     p.add_argument("-o", "--output", default="diversified")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_synthesis(p)
+    _add_generation(p)
+    _add_run(p)
     p.set_defaults(fn=_cmd_diversify)
 
     return parser

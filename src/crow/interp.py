@@ -18,9 +18,10 @@ boundary only.
 
 `instantiate` decodes each function body once into (opcode, immediate,
 target) triples. Branch targets, and the stack height a branch unwinds to,
-are resolved from static stack depths (blocks are void), so block, end and
-nop do no work at run time. One dispatch loop runs every frame of an
-invocation.
+come from the body shape that validation computes (`wat.analyze_body`): the
+`end` or `else` of each frame, the frame each branch targets and that
+frame's entry height (blocks are void). So block, end and nop do no work at
+run time. One dispatch loop runs every frame of an invocation.
 
 Fuel counts trace events. The loop records events without testing the fuel;
 it compares the trace length with the fuel at loop back-edges, calls,
@@ -48,7 +49,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .ir import OP_TO_MNEMONIC, PURE_OPS, SEMANTICS, width_constants
-from .wat import INSTRUCTIONS, INT32_MAX, INT32_MIN, FuncDef, Module, validate, wrap_i32
+from .wat import (
+    INT32_MAX, INT32_MIN, BodyShape, FuncDef, Module, analyze_body, validate, wrap_i32,
+)
 
 DEFAULT_FUEL = 50_000_000
 MAX_CALL_DEPTH = 256
@@ -180,29 +183,22 @@ _I32 = width_constants(32)
  STORE, DROP, CALL, RETURN, EXIT, UNREACHABLE) = range(25)
 
 
-def _effect(mn: str) -> int:
-    _, pops, pushes = INSTRUCTIONS[mn]
-    return pushes - pops
-
-
-# mnemonic -> (opcode, a, stack effect) for every instruction whose decoded
-# form does not depend on its position or callee; a None `a` takes the
-# instruction's immediate. Code after return or unreachable never runs, so
-# their stack effect does not matter.
+# mnemonic -> (opcode, a) for every instruction whose decoded form does not
+# depend on its position; a None `a` takes the instruction's immediate.
 _STRAIGHT = {
-    mn: (op, None, _effect(mn))
+    mn: (op, None)
     for mn, op in (
         ("local.get", LOCAL_GET), ("local.set", LOCAL_SET), ("local.tee", LOCAL_TEE),
         ("global.get", GLOBAL_GET), ("global.set", GLOBAL_SET), ("i32.load", LOAD),
-        ("i32.store", STORE), ("drop", DROP), ("nop", NOP), ("return", RETURN),
-        ("unreachable", UNREACHABLE),
+        ("i32.store", STORE), ("drop", DROP), ("nop", NOP), ("block", NOP), ("end", NOP),
+        ("call", CALL), ("return", RETURN), ("unreachable", UNREACHABLE),
     )
 }
 _STRAIGHT.update(
-    (mn, ((UNARY, BINARY, TERNARY)[PURE_OPS[op] - 1], SEMANTICS[op].fn, _effect(mn)))
+    (mn, ((UNARY, BINARY, TERNARY)[PURE_OPS[op] - 1], SEMANTICS[op].fn))
     for op, mn in OP_TO_MNEMONIC.items()
 )
-_STRAIGHT.update((mn, (DIVIDE, fn, _effect(mn))) for mn, fn in _TRAPPING.items())
+_STRAIGHT.update((mn, (DIVIDE, fn)) for mn, fn in _TRAPPING.items())
 
 
 class _Function(NamedTuple):
@@ -212,61 +208,31 @@ class _Function(NamedTuple):
     locals: int
 
 
-def _decode(f: FuncDef, functions: tuple[FuncDef, ...]) -> _Function:
-    """Resolves the structured control of a validated body. Blocks are void,
-    so a frame's entry height is the stack depth at its opening instruction
-    (less the `if` condition). Code after br, return or unreachable never
-    runs before its frame's `else` or `end`, so the heights given to it do
-    not matter."""
-    end_of: dict[int, int] = {}
-    else_of: dict[int, int] = {}
-    sites: list[int] = []
-    for i, ins in enumerate(f.body):
-        mn = ins.mnemonic
-        if mn == "block" or mn == "loop" or mn == "if":
-            sites.append(i)
-        elif mn == "else":
-            else_of[sites[-1]] = i
-        elif mn == "end":
-            end_of[sites.pop()] = i
+def _decode(f: FuncDef, shape: BodyShape) -> _Function:
+    """Decodes a validated body, taking its control targets from `shape`. A
+    branch unwinds to the entry height of the frame it targets and continues
+    at that frame's `end`, or at the body of a loop."""
     code = []
-    labels: list[tuple[int, int, bool]] = []  # (entry height, branch target, loop?)
-    depth = 0
     for i, ins in enumerate(f.body):
         mn, imm = ins.mnemonic, ins.immediate
         straight = _STRAIGHT.get(mn)
         if straight is not None:
-            op, a, effect = straight
+            op, a = straight
             code.append((op, imm if a is None else a, None))
-            depth += effect
         elif mn == "i32.const":
             code.append((CONST, imm, 2 * imm + 1))
-            depth += 1
-        elif mn == "block" or mn == "loop":
-            loop = mn == "loop"
-            labels.append((depth, i + 1 if loop else end_of[i] + 1, loop))
-            code.append((LOOP, None, i + 1) if loop else (NOP, None, None))
+        elif mn == "loop":
+            code.append((LOOP, None, i + 1))
         elif mn == "if":
-            depth -= 1
-            labels.append((depth, end_of[i] + 1, False))
-            code.append((IF, None, else_of.get(i, end_of[i]) + 1))
+            code.append((IF, None, shape.else_of.get(i, shape.end_of[i]) + 1))
         elif mn == "else":
-            depth, target, _ = labels[-1]
-            code.append((ELSE, None, target - 1))
-        elif mn == "end":
-            depth = labels.pop()[0]
-            code.append((NOP, None, None))
-        elif mn == "br" or mn == "br_if":
-            height, target, loop = labels[-1 - imm]
-            if mn == "br":
-                code.append((BR_LOOP if loop else BR, height, target))
-            else:
-                depth -= 1
-                code.append((BR_IF_LOOP if loop else BR_IF, height, target))
-        else:
-            assert mn == "call", mn
-            depth += functions[imm].results - functions[imm].params
-            code.append((CALL, imm, None))
+            code.append((ELSE, None, shape.end_of[i]))
+        else:  # br, br_if
+            opener = shape.target_of[i]
+            loop = f.body[opener].mnemonic == "loop"
+            op = (BR_LOOP if loop else BR) if mn == "br" else (BR_IF_LOOP if loop else BR_IF)
+            target = opener + 1 if loop else shape.end_of[opener] + 1
+            code.append((op, shape.base[opener + 1], target))
     code.append((EXIT, None, None))
     return _Function(tuple(code), f.params, f.results, f.locals)
 
@@ -293,7 +259,7 @@ def instantiate(m: Module, fuel: int = DEFAULT_FUEL) -> MachineState:
         memory=bytearray((m.memory or 0) * 65536),
         fuel=fuel,
         instruction_ceiling=fuel * 16 + 1_000_000,
-        functions=[_decode(f, m.functions) for f in m.functions],
+        functions=[_decode(f, analyze_body(f, m, i, diags)) for i, f in enumerate(m.functions)],
     )
 
 
@@ -553,12 +519,14 @@ def _i32_field(token: str, ln: str) -> int:
 
 
 def read_trace(source) -> tuple[Trace, Outcome]:
-    lines = [ln.rstrip("\n") for ln in source]
-    if not lines or not lines[0].startswith(TRACE_HEADER):
+    """Parses a trace file from `source`, an iterable of lines, holding only
+    the code buffer and one line at a time."""
+    lines = (ln.rstrip("\n") for ln in source)
+    if not next(lines, "").startswith(TRACE_HEADER):
         raise TraceFormatError("missing trace header")
     codes = array("q")
     outcome: Outcome | None = None
-    for ln in lines[1:]:
+    for ln in lines:
         if not ln.strip():
             continue
         if outcome is not None:

@@ -232,26 +232,25 @@ def build_regions(m: Module, fn_index: int) -> list[Region]:
     because the stack depth after it is polymorphic."""
     f = m.functions[fn_index]
     diags: list[str] = []
-    infos = analyze_body(f, m, fn_index, diags)
+    shape = analyze_body(f, m, fn_index, diags)
     if diags:
         raise ValueError(f"function {fn_index} does not validate: {diags[0]}")
+
+    def region(start: int, end: int) -> Region:
+        arity = shape.depth[start] - shape.base[start]
+        return Region(fn_index, start, end, arity, shape.live[start])
+
     regions = []
     start = None
     for i, ins in enumerate(f.body):
         if ins.mnemonic in _BOUNDARY:
             if start is not None:
-                info = infos[start]
-                regions.append(
-                    Region(fn_index, start, i, info.depth - info.base, info.live)
-                )
+                regions.append(region(start, i))
                 start = None
         elif start is None:
             start = i
     if start is not None:
-        info = infos[start]
-        regions.append(
-            Region(fn_index, start, len(f.body), info.depth - info.base, info.live)
-        )
+        regions.append(region(start, len(f.body)))
     return regions
 
 

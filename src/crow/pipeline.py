@@ -70,6 +70,8 @@ class RunConfig:
             errs.append("timeout must be positive")
         if self.max_variants < 1:
             errs.append("max-variants must be >= 1")
+        if self.fuel < 0:
+            errs.append("fuel must be >= 0")
         return errs
 
 

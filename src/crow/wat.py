@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 # Immediate classes.
@@ -455,21 +456,35 @@ def print_module(m: Module) -> str:
 class _Frame:
     opcode: str  # 'func' | 'block' | 'loop' | 'if' | 'else'
     base: int
+    start: int  # index of the opening instruction (-1 for the function)
     unreachable: bool = False
     entry_unreachable: bool = False
 
 
-@dataclass(frozen=True)
-class InstrInfo:
-    """Pre-instruction facts computed by the body walk."""
+class BodyShape(NamedTuple):
+    """The structure of one body, as validation walks it.
 
-    depth: int  # operand stack depth before the instruction
-    base: int  # innermost frame base before the instruction
-    live: bool  # False inside unreachable (dead) code
+    Three columns hold one entry per instruction, taken before it runs:
+    `depth` is the operand stack depth, `base` the entry depth of the
+    innermost frame, and `live` is False inside unreachable (dead) code. The
+    entry depth of the frame an opener at index k starts is `base[k + 1]`.
+    Three maps resolve structured control: `end_of` takes each
+    block/loop/if and each `else` to its `end`, `else_of` each `if` to its
+    `else` (if it has one), and `target_of` each `br`/`br_if` to the opener
+    of the frame it targets. The maps are complete only for a body that
+    validates."""
+
+    depth: list[int]
+    base: list[int]
+    live: list[bool]
+    end_of: dict[int, int]
+    else_of: dict[int, int]
+    target_of: dict[int, int]
 
 
-def analyze_body(func: FuncDef, module: Module, fn_index: int, diags: list[str]):
-    """Walks one body, collecting diagnostics and per-instruction InstrInfo.
+def analyze_body(func: FuncDef, module: Module, fn_index: int,
+                 diags: list[str]) -> BodyShape:
+    """Walks one body, appending diagnostics to `diags`; returns its shape.
 
     The walk mirrors the standard validation algorithm: every structured
     block is void, so frames only track their entry depth plus the
@@ -479,8 +494,8 @@ def analyze_body(func: FuncDef, module: Module, fn_index: int, diags: list[str])
     def diag(i: int, msg: str):
         diags.append(f"func {fn_index} instr {i}: {msg}")
 
-    infos: list[InstrInfo] = []
-    frames = [_Frame("func", 0)]
+    shape = BodyShape([], [], [], {}, {}, {})
+    frames = [_Frame("func", 0, -1)]
     depth = 0
 
     def pop(i: int, what: str) -> None:
@@ -493,19 +508,22 @@ def analyze_body(func: FuncDef, module: Module, fn_index: int, diags: list[str])
 
     for i, ins in enumerate(func.body):
         top = frames[-1]
-        infos.append(InstrInfo(depth=depth, base=top.base, live=not top.unreachable))
+        shape.depth.append(depth)
+        shape.base.append(top.base)
+        shape.live.append(not top.unreachable)
         m = ins.mnemonic
         if m in ("block", "loop"):
-            frames.append(_Frame(m, depth, top.unreachable, top.unreachable))
+            frames.append(_Frame(m, depth, i, top.unreachable, top.unreachable))
         elif m == "if":
             pop(i, "if condition")
-            frames.append(_Frame("if", depth, top.unreachable, top.unreachable))
+            frames.append(_Frame("if", depth, i, top.unreachable, top.unreachable))
         elif m == "else":
             if top.opcode != "if":
                 diag(i, "else without matching if")
                 continue
             if not top.unreachable and depth != top.base:
                 diag(i, "stack not empty at else")
+            shape.else_of[top.start] = i
             top.opcode = "else"
             top.unreachable = top.entry_unreachable
             depth = top.base
@@ -515,6 +533,9 @@ def analyze_body(func: FuncDef, module: Module, fn_index: int, diags: list[str])
                 continue
             if not top.unreachable and depth != top.base:
                 diag(i, "stack not empty at end")
+            shape.end_of[top.start] = i
+            if top.opcode == "else":
+                shape.end_of[shape.else_of[top.start]] = i
             frames.pop()
             depth = top.base
         elif m in ("br", "br_if"):
@@ -522,6 +543,8 @@ def analyze_body(func: FuncDef, module: Module, fn_index: int, diags: list[str])
             # frame; `return` covers the latter.
             if ins.immediate >= len(frames) - 1:
                 diag(i, "branch label out of range")
+            else:
+                shape.target_of[i] = frames[-1 - ins.immediate].start
             if m == "br_if":
                 pop(i, "br_if condition")
             else:
@@ -567,7 +590,7 @@ def analyze_body(func: FuncDef, module: Module, fn_index: int, diags: list[str])
         diags.append(
             f"func {fn_index}: body leaves {depth} value(s), expected {func.results}"
         )
-    return infos
+    return shape
 
 
 def validate(m: Module) -> list[str]:

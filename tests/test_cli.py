@@ -1,5 +1,6 @@
 import json
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,11 @@ from crow.cli import main
 from crow.interp import read_trace
 from crow.wat import parse_module, validate
 
-SMALL = ["--timeout-secs", "2", "--max-size", "2", "--max-variants", "8"]
+# small-run flags of each subcommand: explore takes the synthesis ones,
+# generate the generation ones, diversify both
+EXPLORE_SMALL = ["--timeout-secs", "2", "--max-size", "2"]
+GENERATE_SMALL = ["--max-variants", "8"]
+SMALL = EXPLORE_SMALL + GENERATE_SMALL
 
 
 @pytest.fixture
@@ -21,7 +26,7 @@ def module_file(tmp_path, mul_add_text):
 
 def test_explore_writes_store(tmp_path, module_file):
     store = tmp_path / "store.json"
-    assert main(["explore", str(module_file), "-o", str(store), *SMALL]) == 0
+    assert main(["explore", str(module_file), "-o", str(store), *EXPLORE_SMALL]) == 0
     data = json.loads(store.read_text())
     assert data["format"] == "crow-replacement-store v1"
     assert data["blocks"]
@@ -46,8 +51,8 @@ def test_smt_checker_needs_solver(module_file, monkeypatch):
 def test_generate_from_store(tmp_path, module_file):
     store = tmp_path / "store.json"
     outdir = tmp_path / "variants"
-    assert main(["explore", str(module_file), "-o", str(store), *SMALL]) == 0
-    assert main(["generate", str(module_file), str(store), "-o", str(outdir), *SMALL]) == 0
+    assert main(["explore", str(module_file), "-o", str(store), *EXPLORE_SMALL]) == 0
+    assert main(["generate", str(module_file), str(store), "-o", str(outdir), *GENERATE_SMALL]) == 0
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["variants"]
     for entry in manifest["variants"]:
@@ -79,10 +84,10 @@ def _count_parses_and_extractions(monkeypatch):
 
 def test_generate_parses_and_extracts_once(tmp_path, module_file, monkeypatch):
     store = tmp_path / "store.json"
-    assert main(["explore", str(module_file), "-o", str(store), *SMALL]) == 0
+    assert main(["explore", str(module_file), "-o", str(store), *EXPLORE_SMALL]) == 0
     loads, parses, extractions = _count_parses_and_extractions(monkeypatch)
     outdir = tmp_path / "variants"
-    assert main(["generate", str(module_file), str(store), "-o", str(outdir), *SMALL]) == 0
+    assert main(["generate", str(module_file), str(store), "-o", str(outdir), *GENERATE_SMALL]) == 0
     assert json.loads((outdir / "manifest.json").read_text())["variants"]
     assert (len(loads), len(parses), len(extractions)) == (1, 0, 1)
 
@@ -98,7 +103,7 @@ def test_diversify_parses_and_extracts_once(tmp_path, module_file, monkeypatch):
 
 def test_generate_digest_mismatch(tmp_path, module_file):
     store = tmp_path / "store.json"
-    assert main(["explore", str(module_file), "-o", str(store), *SMALL]) == 0
+    assert main(["explore", str(module_file), "-o", str(store), *EXPLORE_SMALL]) == 0
     other = tmp_path / "other.wat"
     other.write_text("(module (func (result i32) i32.const 3))")
     assert main(["generate", str(other), str(store)]) == 4
@@ -148,10 +153,10 @@ def _edit_first_replacement(**fields):
         "emitted-len-float", "emitted-len-null"])
 def test_generate_rejects_malformed_store(tmp_path, module_file, capsys, edit):
     store = tmp_path / "store.json"
-    assert main(["explore", str(module_file), "-o", str(store), *SMALL]) == 0
+    assert main(["explore", str(module_file), "-o", str(store), *EXPLORE_SMALL]) == 0
     store.write_text(json.dumps(edit(json.loads(store.read_text()))))
     outdir = tmp_path / "variants"
-    assert main(["generate", str(module_file), str(store), "-o", str(outdir), *SMALL]) == 4
+    assert main(["generate", str(module_file), str(store), "-o", str(outdir), *GENERATE_SMALL]) == 4
     assert capsys.readouterr().err.startswith("crow: ")
 
 
@@ -193,6 +198,31 @@ def test_trace_fuel_exit_code(tmp_path):
     assert main(["trace", str(p), "--fuel", "10", "-o", str(tmp_path / "x.trace")]) == 6
 
 
+@pytest.mark.parametrize("command", ["trace", "diversify"])
+def test_negative_fuel_is_a_config_error(tmp_path, module_file, command):
+    out = tmp_path / "out"
+    assert main([command, str(module_file), "--fuel", "-1", "-o", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "--max-variants", "0"],
+    ["explore", "--fuel", "-1"],
+    ["generate", "STORE", "--checker", "smt"],
+    ["generate", "STORE", "--timeout-secs", "0"],
+    ["generate", "STORE", "--invoke", "nope"],
+])
+def test_subcommands_take_only_the_flags_they_read(tmp_path, module_file, capsys, argv):
+    """explore never generates or traces and generate never synthesizes or
+    traces, so their parsers reject those flags as unknown."""
+    command, *rest = argv
+    rest = [str(tmp_path / "store.json") if a == "STORE" else a for a in rest]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, str(module_file), *rest])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_measure_static_self_is_zero(module_file, capsys):
     assert main(["measure", "static", str(module_file), str(module_file)]) == 0
     out = capsys.readouterr().out.strip()
@@ -218,6 +248,42 @@ def test_measure_directory_pairwise(tmp_path, capsys):
     assert main(["measure", "dynamic", str(tmp_path)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 4 * 3 // 2
+
+
+@pytest.mark.parametrize("kind", ["static", "dynamic"])
+def test_measure_directory_loads_each_file_once(tmp_path, mul_add_text, monkeypatch, capsys,
+                                                kind):
+    import crow.cli
+
+    for i in range(4):
+        (tmp_path / f"m{i}.wat").write_text(mul_add_text.replace("i32.const 10", f"i32.const {i}"))
+        (tmp_path / f"t{i}.trace").write_text(f"# crow-trace v1 entry=main\npush {i}\nresult {i}\n")
+    name = "_load_module" if kind == "static" else "read_trace"
+    calls, real = [], getattr(crow.cli, name)
+    monkeypatch.setattr(crow.cli, name, lambda *a: calls.append(a) or real(*a))
+    assert main(["measure", kind, str(tmp_path)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4 * 3 // 2
+    assert len(calls) == 4
+
+
+def test_read_trace_holds_only_the_code_buffer(tmp_path):
+    """The reader streams its lines: its peak allocation stays within twice
+    the 8 bytes per event of the code buffer it returns."""
+    n = 100_000
+    path = tmp_path / "long.trace"
+    with open(path, "w") as f:
+        f.write("# crow-trace v1 entry=main\n")
+        f.write("".join(f"{('pop', 'push')[i % 2]} {i * 20011 - 2**30}\n" for i in range(n)))
+        f.write("result 0\n")
+    with open(path) as f:
+        tracemalloc.start()
+        try:
+            trace, outcome = read_trace(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(trace) == n and outcome.kind == "result"
+    assert peak <= 2 * 8 * n
 
 
 def test_measure_malformed_trace(tmp_path):

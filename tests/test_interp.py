@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,8 @@ from crow.wat import (
     IMM_INDEX, IMM_NONE, IMM_VALUE, INSTRUCTIONS, INT32_MAX, INT32_MIN, parse_module,
 )
 
-from strategies import modules
+import interp_oracle
+from strategies import int32s, modules
 from traceutil import trace_of
 
 
@@ -421,6 +423,27 @@ def test_generated_modules_execute_or_trap(m):
         for ev in trace:
             depth += 1 if ev.kind == "push" else -1
             assert depth >= 0
+
+
+ORACLE_FUEL = 2000  # a generated loop may never exit; its run ends here
+
+
+@settings(max_examples=200, deadline=None)
+@given(modules(), st.data())
+def test_invoke_matches_the_structured_oracle(m, data):
+    """`invoke` and a direct structured interpreter (interp_oracle) give the
+    same outcome and trace codes for every function, at a fuel that ends the
+    generated loops and at a fuel drawn inside that run."""
+    m = replace(m, exports={f"f{i}": i for i in range(len(m.functions))})
+    for name, fn in m.exports.items():
+        args = data.draw(st.lists(st.integers(-3, 3) | int32s, min_size=m.functions[fn].params,
+                                  max_size=m.functions[fn].params))
+        want = interp_oracle.run(m, name, args, ORACLE_FUEL)
+        outcome, trace = invoke(instantiate(m, fuel=ORACLE_FUEL), name, args)
+        assert (outcome, trace.codes.tolist()) == want
+        cut = data.draw(st.integers(0, len(trace)))
+        outcome, trace = invoke(instantiate(m, fuel=cut), name, args)
+        assert (outcome, trace.codes.tolist()) == interp_oracle.run(m, name, args, cut)
 
 
 # Bodies for the instructions that need more than constant operands; every

@@ -8,6 +8,7 @@ from crow.wat import (
     Module,
     ParseError,
     UnsupportedError,
+    analyze_body,
     parse_module,
     print_module,
     validate,
@@ -30,6 +31,32 @@ def test_parse_mul_add(mul_add_module):
         "i32.add",
     ]
     assert m.functions[1].body == (Instr("i32.const", 10), Instr("call", 0))
+
+
+def test_body_shape_matches_control_and_frame_heights():
+    m = parse_module("""(module (func (param i32)
+      i32.const 7
+      local.get 0
+      if
+        block
+          i32.const 1 br 1
+          drop
+        end
+      else
+        loop i32.const 2 local.get 0 br_if 0 drop end
+      end
+      drop))""")
+    diags = []
+    shape = analyze_body(m.functions[0], m, 0, diags)
+    #  0 const  1 get  2 if  3 block  4 const  5 br 1  6 drop  7 end  8 else
+    #  9 loop  10 const  11 get  12 br_if 0  13 drop  14 end  15 end  16 drop
+    assert diags == []
+    assert shape.end_of == {2: 15, 3: 7, 8: 15, 9: 14}
+    assert shape.else_of == {2: 8}
+    assert shape.target_of == {5: 2, 12: 9}
+    assert [shape.base[k + 1] for k in (2, 3, 9)] == [1, 1, 1]
+    assert shape.depth[:6] == [0, 1, 2, 1, 1, 2]
+    assert shape.live == [True] * 6 + [False] * 2 + [True] * 9  # drop and end follow the br
 
 
 def test_parse_empty_module():

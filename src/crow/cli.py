@@ -1,9 +1,10 @@
 """Command-line front end: explore, generate, trace, measure, diversify.
 
 Exit codes are part of the contract: 0 success, 2 malformed input (parse or
-validation failure, unknown export, malformed trace), 3 configuration error,
-4 replacement-store/module mismatch or malformed store, 5 the traced program
-trapped, 6 it ran out of fuel.
+validation failure, unknown export, malformed trace), 3 configuration error
+(a bad option value, or a usage error such as an unknown or missing
+argument), 4 replacement-store/module mismatch or malformed store, 5 the
+traced program trapped, 6 it ran out of fuel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .equiv import CheckerConfig
 from .interp import DEFAULT_FUEL, InvokeError, TraceFormatError, read_trace, write_trace
-from .metrics import dt_dyn, dt_static
+from .metrics import dt_dyn, dtw, tokenize
 from .pipeline import (
     DiversifyResult,
     RunConfig,
@@ -42,6 +43,14 @@ EXIT_TRAP = 5
 EXIT_FUEL = 6
 
 SOLVER_ENV = "CROW_SOLVER"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 class _CliError(Exception):
@@ -224,9 +233,10 @@ def _read_trace_file(path: str):
 
 
 def _measure_pair(kind: str, left: str, right: str, a, b, normalize: bool) -> str:
-    """One row for the files `left` and `right`, loaded as `a` and `b`."""
+    """One row for the files `left` and `right`, loaded as `a` and `b`
+    (instruction tokens or traces)."""
     if kind == "static":
-        return f"{left}\t{right}\tstatic\t{dt_static(a, b)}"
+        return f"{left}\t{right}\tstatic\t{dtw(a, b).cost}"
     cost = dt_dyn(a, b)
     row = f"{left}\t{right}\tdynamic\t{cost}"
     if normalize:
@@ -246,7 +256,7 @@ def _cmd_measure(args) -> int:
     else:
         files = [args.left, args.right]
     if args.kind == "static":
-        loaded = [_load_module(path) for path in files]
+        loaded = [tokenize(_load_module(path)) for path in files]
     else:
         loaded = [_read_trace_file(path)[0] for path in files]
     rows = [
@@ -276,9 +286,7 @@ def _cmd_diversify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crow", description="Diversify WebAssembly text modules."
-    )
+    parser = _Parser(prog="crow", description="Diversify WebAssembly text modules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("explore", help="synthesize replacements for all pure blocks")

@@ -33,8 +33,8 @@ from .ir import (
 )
 from .wat import FuncDef, Instr, Module, wrap_i32
 
-# substitution map: root rnode id -> (candidate dag, input ordinal -> rnode id)
-Substitutions = dict[int, tuple[Dag, dict[int, int]]]
+# substitution map: root rnode id -> (candidate dag, rnode id per input ordinal)
+Substitutions = dict[int, tuple[Dag, tuple[int, ...]]]
 
 
 def emit_dag(dag: Dag) -> list[Instr]:
@@ -93,33 +93,22 @@ def emit_region(
         out.append(Instr("local.set", t))
         bind(t, ir.entry_nodes[depth])
 
-    # Prologue 2: stash entry values of locals the region overwrites.
+    # Prologue 2: stash entry values of locals the region overwrites; the
+    # entry values of locals never overwritten stay readable in place.
     written_locals = {
         a.instr.immediate
         for a in ir.anchors
         if a.instr.mnemonic in ("local.set", "local.tee")
     }
     for rn in nodes:
-        if (
-            rn.kind == K_INPUT
-            and rn.origin is not None
-            and rn.origin.kind in ("param", "local")
-            and rn.origin.index in written_locals
-        ):
-            t = new_temp()
-            out.append(Instr("local.get", rn.origin.index))
-            out.append(Instr("local.set", t))
-            bind(t, rn.id)
-
-    # Entry values of locals never overwritten stay readable in place.
-    for rn in nodes:
-        if (
-            rn.kind == K_INPUT
-            and rn.origin is not None
-            and rn.origin.kind in ("param", "local")
-            and rn.origin.index not in written_locals
-        ):
-            bind(rn.origin.index, rn.id)
+        if rn.kind == K_INPUT and rn.origin.kind in ("param", "local"):
+            if rn.origin.index in written_locals:
+                t = new_temp()
+                out.append(Instr("local.get", rn.origin.index))
+                out.append(Instr("local.set", t))
+                bind(t, rn.id)
+            else:
+                bind(rn.origin.index, rn.id)
 
     def materialize(rid: int, skip: frozenset):
         key = canon(rid, skip)
@@ -141,12 +130,12 @@ def emit_region(
             origin = rn.origin
             if origin.kind in ("param", "local"):
                 out.append(Instr("local.get", origin.index))
-            elif origin.kind == "global" and origin.site is None:
+            elif origin.stable:  # a global no in-region writer pins
                 out.append(Instr("global.get", origin.index))
             else:  # pragma: no cover - anchored values always sit in temps
                 raise AssertionError(f"no materialization for {origin}")
 
-    def emit_candidate(dag: Dag, idx: int, binding: dict[int, int], skip: frozenset):
+    def emit_candidate(dag: Dag, idx: int, binding: tuple[int, ...], skip: frozenset):
         n = dag.nodes[idx]
         if n.kind == K_CONST:
             out.append(Instr("i32.const", wrap_i32(n.value)))

@@ -26,6 +26,9 @@ from .ir import (
     Dag, K_CONST, K_INPUT, K_OP, SEMANTICS, PureBlock, Width, width_constants,
 )
 
+# Max evaluations per exhaustive sweep.
+EXHAUSTIVE_BUDGET = 2**26
+
 TIER_VERIFIED = "verified"
 TIER_PROBABLE = "probable"
 TIER_REJECTED = "rejected"
@@ -50,7 +53,6 @@ class Verdict:
 @dataclass(frozen=True)
 class CheckerConfig:
     mode: str = "probable-ok"  # 'exhaustive-only' | 'probable-ok' | 'smt'
-    budget: int = 2**26  # max evaluations per exhaustive sweep
     widths: tuple[int, ...] = (4, 8)
     samples: int = 100_000
     solver_cmd: tuple[str, ...] = ()
@@ -60,8 +62,6 @@ class CheckerConfig:
         errs = []
         if self.mode not in ("exhaustive-only", "probable-ok", "smt"):
             errs.append(f"unknown checker mode {self.mode!r}")
-        if self.budget < 1:
-            errs.append("budget must be >= 1")
         if any(not 2 <= w <= 32 for w in self.widths):
             errs.append("reduced widths must lie in 2..32")
         if self.samples < 0:
@@ -72,6 +72,13 @@ class CheckerConfig:
 # --- evaluation ---------------------------------------------------------------
 
 _U64 = np.uint64
+
+# ir.SEMANTICS turns comparisons into 0/1 by multiplying with a typed one.
+if (np.zeros(1, bool) * _U64(1)).dtype != _U64:
+    raise ImportError(
+        f"numpy {np.__version__} does not promote bool * uint64 to uint64, "
+        "which the batched i32 semantics rely on"
+    )
 
 
 def _signed(u: int, width: int) -> int:
@@ -146,25 +153,21 @@ def _sweep(left: Dag, right: Dag, n_inputs: int, width: int):
         yield env, np.nonzero(lv != rv)[0], hi - base
 
 
-def exhaustive_check(b: PureBlock | Dag, c: Dag, width: int, budget: int = 2**26,
-                     n_inputs: int | None = None):
+def exhaustive_check(left: Dag, right: Dag, n_inputs: int, width: int):
     """Sound at width 32; reduced widths only contribute evidence. Returns
     (verdict_or_None, evals, discarded_note): None means 'agreed but not
     sound' (reduced width)."""
-    left = b.dag if isinstance(b, PureBlock) else b
-    if n_inputs is None:
-        n_inputs = len(b.inputs) if isinstance(b, PureBlock) else 0
-    if n_inputs * width > 0 and (1 << (n_inputs * width)) > budget:
+    if (1 << (n_inputs * width)) > EXHAUSTIVE_BUDGET:
         raise InfeasibleDomainError(
-            f"{n_inputs} inputs at {width} bits exceed budget {budget}"
+            f"{n_inputs} inputs at {width} bits exceed budget {EXHAUSTIVE_BUDGET}"
         )
     evals = 0
     discarded = 0
-    for env, bad, n in _sweep(left, c, n_inputs, width):
+    for env, bad, n in _sweep(left, right, n_inputs, width):
         evals += n
         for pos in bad:
             cex = tuple(int(e[pos]) for e in env)
-            if width == 32 or eval_dag(left, cex, 32) != eval_dag(c, cex, 32):
+            if width == 32 or eval_dag(left, cex, 32) != eval_dag(right, cex, 32):
                 return Verdict(TIER_REJECTED, "exhaustive" if width == 32 else "reduced-width",
                                counterexample=cex, evals=evals), evals, discarded
             discarded += 1
@@ -204,18 +207,14 @@ def _smt_terms(dag: Dag, prefix: str, lets: list[str]) -> str:
     return terms[dag.root]
 
 
-def emit_smtlib(b: PureBlock | Dag, c: Dag) -> str:
-    """Self-contained QF_BV script; the pair is equivalent iff the solver
-    answers unsat."""
-    left = b.dag if isinstance(b, PureBlock) else b
-    n_inputs = len(b.inputs) if isinstance(b, PureBlock) else max(
-        (n.input + 1 for n in left.nodes + c.nodes if n.kind == K_INPUT), default=0
-    )
+def emit_smtlib(left: Dag, right: Dag, n_inputs: int) -> str:
+    """Self-contained QF_BV script over inputs in0..in{n_inputs-1}; the pair
+    is equivalent iff the solver answers unsat."""
     lines = ["(set-logic QF_BV)"]
     for i in range(n_inputs):
         lines.append(f"(declare-const in{i} (_ BitVec 32))")
     lets: list[str] = []
-    body = f"(distinct {_smt_terms(left, 'l', lets)} {_smt_terms(c, 'r', lets)})"
+    body = f"(distinct {_smt_terms(left, 'l', lets)} {_smt_terms(right, 'r', lets)})"
     lines.append(f"(assert {''.join(lets)}{body}{')' * len(lets)})")
     lines.append("(check-sat)")
     lines.append("(get-model)")
@@ -262,23 +261,22 @@ def run_solver(cmd, script: str, timeout: float):
 # --- the checker ----------------------------------------------------------------
 
 
-def check(b: PureBlock, c, cfg: CheckerConfig, seed: int) -> Verdict:
+def check(b: PureBlock, c: Dag, cfg: CheckerConfig, seed: int) -> Verdict:
     """Decides equivalence of a block and a candidate per the configured
     mode (`cfg` already validated); `seed` draws the width-32 samples.
     Candidate inputs must be a subset of the block's inputs."""
-    c = c.dag if hasattr(c, "dag") else c
     n = len(b.inputs)
     evals = 0
     notes: list[str] = []
 
     # Sound path 1: the whole width-32 domain fits in the budget.
-    if n == 0 or (1 << (n * 32)) <= cfg.budget:
-        verdict, ev, _ = exhaustive_check(b, c, 32, cfg.budget, n_inputs=n)
+    if (1 << (n * 32)) <= EXHAUSTIVE_BUDGET:
+        verdict, ev, _ = exhaustive_check(b.dag, c, n, 32)
         return Verdict(verdict.tier, verdict.method, verdict.counterexample, evals + ev)
 
     # Sound path 2: external solver.
     if cfg.mode == "smt" and cfg.solver_cmd:
-        script = emit_smtlib(b, c)
+        script = emit_smtlib(b.dag, c, n)
         answer, out = run_solver(cfg.solver_cmd, script, cfg.solver_timeout)
         if answer == "unsat":
             return Verdict(TIER_VERIFIED, "smt", evals=evals)
@@ -291,13 +289,13 @@ def check(b: PureBlock, c, cfg: CheckerConfig, seed: int) -> Verdict:
             notes.append(f"solver-failure: {answer}")
 
     if cfg.mode == "exhaustive-only":
-        raise InfeasibleDomainError(f"{n} inputs at 32 bits exceed budget {cfg.budget}")
+        raise InfeasibleDomainError(f"{n} inputs at 32 bits exceed budget {EXHAUSTIVE_BUDGET}")
 
     # Unsound evidence: reduced-width sweeps, then width-32 samples.
     for w in sorted(cfg.widths):
-        if (1 << (n * w)) > cfg.budget:
+        if (1 << (n * w)) > EXHAUSTIVE_BUDGET:
             continue
-        verdict, ev, discarded = exhaustive_check(b, c, w, cfg.budget, n_inputs=n)
+        verdict, ev, discarded = exhaustive_check(b.dag, c, n, w)
         evals += ev
         if discarded:
             notes.append(f"width-{w}: discarded {discarded} non-replaying counterexample(s)")

@@ -9,7 +9,8 @@ never modeled; a load is a fresh input, full stop.
 
 A pure block is the backward dataflow slice hanging off one value-producing
 pure instruction. Evaluating its DAG twice under the same inputs gives the
-same value, which is what makes it a legal replacement target.
+same value, which is what makes it a legal replacement target. Its extent is
+the slice's ops and constants; two blocks overlap when they share one.
 """
 
 from __future__ import annotations
@@ -136,6 +137,12 @@ class InputOrigin:
     kind: str
     index: int | None = None
     site: int | None = None
+
+    @property
+    def stable(self) -> bool:
+        """Re-reading gives the same value anywhere in the region: a param,
+        a local's entry value, or a global that no in-region writer pins."""
+        return self.kind in ("param", "local") or (self.kind == "global" and self.site is None)
 
     def __str__(self):
         if self.kind == "param":
@@ -268,9 +275,6 @@ class RNode:
     origin: InputOrigin | None = None
     operands: tuple[int, ...] = ()
     site: int | None = None  # creation site (op/const) or first read site
-    read_sites: tuple[int, ...] = ()  # local.get/global.get sites pushing this node
-    edge_sites: tuple[int, ...] = ()  # push sites of consumed operands (op nodes)
-    anchored: bool = False  # produced by an anchor; not re-evaluable
 
 
 @dataclass
@@ -313,28 +317,26 @@ def build_region_ir(m: Module, region: Region) -> RegionIR:
         ins.immediate for ins in body if ins.mnemonic == "global.set"
     }
 
-    stack: list[tuple[int, int]] = []  # (rnode id, push site)
+    stack: list[int] = []  # rnode ids
     last_assign: dict[int, int] = {}  # local index -> rnode id
     local_leaves: dict[int, int] = {}  # local index -> input rnode id
     global_leaves: dict[int, int] = {}  # global index -> input rnode id
 
-    def pop(site: int) -> tuple[int, int]:
+    def pop() -> int:
         if stack:
             return stack.pop()
         depth = region.entry_arity - 1 - ir.entry_used
         assert depth >= 0, "operand underflow in validated region"
-        nid = new_node(
-            kind=K_INPUT, origin=InputOrigin("entry", index=depth), anchored=True
-        )
+        nid = new_node(kind=K_INPUT, origin=InputOrigin("entry", index=depth))
         ir.entry_nodes[depth] = nid
         ir.entry_used += 1
-        return nid, -1
+        return nid
 
     for site in range(region.start, region.end):
         ins = f.body[site]
         m_ = ins.mnemonic
         if m_ == "i32.const":
-            stack.append((new_node(kind=K_CONST, value=ins.immediate, site=site), site))
+            stack.append(new_node(kind=K_CONST, value=ins.immediate, site=site))
         elif m_ == "local.get":
             idx = ins.immediate
             if idx in last_assign:
@@ -347,22 +349,18 @@ def build_region_ir(m: Module, region: Region) -> RegionIR:
                     kind=K_INPUT, origin=InputOrigin(kind, index=idx), site=site
                 )
                 local_leaves[idx] = nid
-            nodes[nid].read_sites += (site,)
-            stack.append((nid, site))
+            stack.append(nid)
         elif m_ in ("local.set", "local.tee"):
-            nid, _ = pop(site)
+            nid = pop()
             ir.anchors.append(Anchor(site, ins, (nid,)))
             last_assign[ins.immediate] = nid
             if m_ == "local.tee":
-                stack.append((nid, site))
+                stack.append(nid)
         elif m_ == "global.get":
             idx = ins.immediate
             if has_call or idx in written_globals:
                 nid = new_node(
-                    kind=K_INPUT,
-                    origin=InputOrigin("global", index=idx, site=site),
-                    site=site,
-                    anchored=True,
+                    kind=K_INPUT, origin=InputOrigin("global", index=idx, site=site), site=site
                 )
                 ir.anchors.append(Anchor(site, ins, (), result=nid))
             else:
@@ -371,58 +369,42 @@ def build_region_ir(m: Module, region: Region) -> RegionIR:
                         kind=K_INPUT, origin=InputOrigin("global", index=idx), site=site
                     )
                 nid = global_leaves[idx]
-                nodes[nid].read_sites += (site,)
-            stack.append((nid, site))
+            stack.append(nid)
         elif m_ == "global.set":
-            nid, _ = pop(site)
-            ir.anchors.append(Anchor(site, ins, (nid,)))
+            ir.anchors.append(Anchor(site, ins, (pop(),)))
         elif m_ == "i32.load":
-            addr, _ = pop(site)
-            nid = new_node(
-                kind=K_INPUT, origin=InputOrigin("load", site=site), site=site, anchored=True
-            )
+            addr = pop()
+            nid = new_node(kind=K_INPUT, origin=InputOrigin("load", site=site), site=site)
             ir.anchors.append(Anchor(site, ins, (addr,), result=nid))
-            stack.append((nid, site))
+            stack.append(nid)
         elif m_ == "i32.store":
-            val, _ = pop(site)
-            addr, _ = pop(site)
+            val = pop()
+            addr = pop()
             ir.anchors.append(Anchor(site, ins, (addr, val)))
         elif m_ == "call":
             callee = m.functions[ins.immediate]
-            args = tuple(pop(site)[0] for _ in range(callee.params))[::-1]
+            args = tuple(pop() for _ in range(callee.params))[::-1]
             result = None
             if callee.results:
-                result = new_node(
-                    kind=K_INPUT, origin=InputOrigin("call", site=site), site=site, anchored=True
-                )
+                result = new_node(kind=K_INPUT, origin=InputOrigin("call", site=site), site=site)
             ir.anchors.append(Anchor(site, ins, args, result=result))
             if result is not None:
-                stack.append((result, site))
+                stack.append(result)
         elif m_ in ("drop", "nop"):
-            ops = (pop(site)[0],) if m_ == "drop" else ()
+            ops = (pop(),) if m_ == "drop" else ()
             ir.anchors.append(Anchor(site, ins, ops))
         elif m_.startswith("i32.") and m_[4:] in TRAP_OPS:
-            b, _ = pop(site)
-            a, _ = pop(site)
-            nid = new_node(
-                kind=K_INPUT, origin=InputOrigin("trap-op", site=site), site=site, anchored=True
-            )
+            b = pop()
+            a = pop()
+            nid = new_node(kind=K_INPUT, origin=InputOrigin("trap-op", site=site), site=site)
             ir.anchors.append(Anchor(site, ins, (a, b), result=nid))
-            stack.append((nid, site))
+            stack.append(nid)
         else:
             op = MNEMONIC_TO_OP[m_]
-            arity = PURE_OPS[op]
-            popped = [pop(site) for _ in range(arity)][::-1]  # bottom -> top
-            nid = new_node(
-                kind=K_OP,
-                op=op,
-                operands=tuple(p[0] for p in popped),
-                site=site,
-                edge_sites=tuple(p[1] for p in popped if p[1] >= 0),
-            )
-            stack.append((nid, site))
+            operands = tuple(pop() for _ in range(PURE_OPS[op]))[::-1]  # bottom -> top
+            stack.append(new_node(kind=K_OP, op=op, operands=operands, site=site))
 
-    ir.exit_stack = [nid for nid, _ in stack]
+    ir.exit_stack = stack
     return ir
 
 
@@ -431,15 +413,18 @@ def build_region_ir(m: Module, region: Region) -> RegionIR:
 
 @dataclass(frozen=True)
 class PureBlock:
+    """The backward slice of region nodes hanging off `root_rnode`. Its
+    extent is its ops and constants (`interior`); input leaves are shared
+    values, not part of any one block."""
+
     id: str
     func: int
     region_index: int
     root_site: int
     dag: Dag
     inputs: tuple[InputOrigin, ...]
-    covered_sites: frozenset[int]
-    # emission binding: region rnode id per dag node index, and the root's id
-    rnode_ids: tuple[int, ...]
+    interior: frozenset[int]  # region node ids of the slice's ops and constants
+    input_rnodes: tuple[int, ...]  # region node id per input ordinal
     root_rnode: int
 
     @property
@@ -460,26 +445,19 @@ def _block_from_root(ir: RegionIR, region_index: int, root: int) -> PureBlock:
     ordered = sorted(reach)
     index_of = {rid: i for i, rid in enumerate(ordered)}
 
-    covered: set[int] = set()
     dag_nodes = []
-    inputs: list[InputOrigin] = []
+    input_rnodes: list[int] = []
     for rid in ordered:
         rn = nodes[rid]
         if rn.kind == K_INPUT:
-            dag_nodes.append(DagNode(K_INPUT, input=len(inputs)))
-            inputs.append(rn.origin)
-            if rn.origin.kind in ("param", "local", "global") and rn.origin.site is None:
-                if rid == root:
-                    covered.update(rn.read_sites)
+            dag_nodes.append(DagNode(K_INPUT, input=len(input_rnodes)))
+            input_rnodes.append(rid)
         elif rn.kind == K_CONST:
             dag_nodes.append(DagNode(K_CONST, value=rn.value))
-            covered.add(rn.site)
         else:
             dag_nodes.append(
                 DagNode(K_OP, op=rn.op, operands=tuple(index_of[o] for o in rn.operands))
             )
-            covered.add(rn.site)
-            covered.update(rn.edge_sites)
 
     root_site = nodes[root].site
     return PureBlock(
@@ -488,9 +466,9 @@ def _block_from_root(ir: RegionIR, region_index: int, root: int) -> PureBlock:
         region_index=region_index,
         root_site=root_site,
         dag=Dag(tuple(dag_nodes), index_of[root]),
-        inputs=tuple(inputs),
-        covered_sites=frozenset(covered),
-        rnode_ids=tuple(ordered),
+        inputs=tuple(nodes[rid].origin for rid in input_rnodes),
+        interior=frozenset(reach.difference(input_rnodes)),
+        input_rnodes=tuple(input_rnodes),
         root_rnode=root,
     )
 
@@ -498,8 +476,8 @@ def _block_from_root(ir: RegionIR, region_index: int, root: int) -> PureBlock:
 def extract_blocks(r: Region, m: Module, region_index: int = 0) -> list[PureBlock]:
     """One block per value-producing pure instruction.
 
-    Every pure op roots a block. A bare producer (const, local.get,
-    stable global.get) roots one only when no pure op in the region consumes
+    Every pure op roots a block. A bare producer (const, or an input whose
+    origin is stable) roots one only when no pure op in the region consumes
     its value, mirroring how an SSA engine sees ops as the instructions and
     bare values as operands.
     """
@@ -513,24 +491,21 @@ def extract_blocks(r: Region, m: Module, region_index: int = 0) -> list[PureBloc
 
     blocks = []
     for rn in ir.nodes:
-        if rn.kind == K_OP:
+        if rn.kind == K_OP or (
+            rn.id not in consumed_by_op and (rn.kind == K_CONST or rn.origin.stable)
+        ):
             blocks.append(_block_from_root(ir, region_index, rn.id))
-        elif rn.id not in consumed_by_op and rn.site is not None and not rn.anchored:
-            if rn.kind == K_CONST or (
-                rn.kind == K_INPUT
-                and rn.origin.kind in ("param", "local", "global")
-            ):
-                blocks.append(_block_from_root(ir, region_index, rn.id))
     blocks.sort(key=lambda b: b.root_site)
     return blocks
 
 
 def blocks_overlap(a: PureBlock, b: PureBlock) -> bool:
-    if a.func != b.func:
+    """Two blocks of one region overlap when they share an op or a constant.
+    Every push is popped once, so this is exactly sharing an instruction.
+    Node ids restart in every region, hence the region check."""
+    if (a.func, a.region_index) != (b.func, b.region_index):
         return False
-    if a.id == b.id:
-        return True
-    return bool(a.covered_sites & b.covered_sites)
+    return a.id == b.id or not a.interior.isdisjoint(b.interior)
 
 
 def extract_module_blocks(m: Module) -> list[PureBlock]:

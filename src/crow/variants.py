@@ -14,8 +14,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from .emit import reemit_function
-from .ir import Dag, K_INPUT, PureBlock, blocks_overlap
+from .emit import Substitutions, reemit_function
+from .ir import PureBlock, blocks_overlap
 from .synth import Replacement
 from .wat import Module, print_module, validate
 
@@ -123,25 +123,16 @@ def enumerate_combinations(
     return [_decode_plan(s, order, code) for code in codes], truncated
 
 
-def candidate_binding(block: PureBlock) -> dict[int, int]:
-    """Maps candidate input ordinals to the block's region node ids."""
-    return {
-        node.input: block.rnode_ids[i]
-        for i, node in enumerate(block.dag.nodes)
-        if node.kind == K_INPUT
-    }
-
-
 def apply_plan(m: Module, s: ReplacementSet, plan: VariantPlan) -> Module:
     """Re-emits every affected region with the chosen candidate subgraphs
     substituted; signatures, exports, and unaffected regions are unchanged."""
-    per_function: dict[int, dict[int, dict[int, tuple[Dag, dict[int, int]]]]] = {}
+    per_function: dict[int, dict[int, Substitutions]] = {}
     for bid, choice in plan.choices.items():
         block = s.blocks[bid]
         dag = s.replacements[bid][choice].candidate.dag
         per_function.setdefault(block.func, {}).setdefault(block.region_index, {})[
             block.root_rnode
-        ] = (dag, candidate_binding(block))
+        ] = (dag, block.input_rnodes)
     functions = list(m.functions)
     for fn_index, region_subs in per_function.items():
         functions[fn_index] = reemit_function(m, fn_index, region_subs)

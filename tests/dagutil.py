@@ -37,7 +37,7 @@ def block_of(tree, n_inputs, block_id="b0") -> PureBlock:
         root_site=0,
         dag=D(tree),
         inputs=tuple(InputOrigin("param", index=i) for i in range(n_inputs)),
-        covered_sites=frozenset({0}),
-        rnode_ids=(),
+        interior=frozenset({0}),
+        input_rnodes=(),
         root_rnode=0,
     )

@@ -8,6 +8,7 @@ import pytest
 from crow import corpus
 from crow.cli import main
 from crow.interp import read_trace
+from crow.metrics import dt_static
 from crow.wat import parse_module, validate
 
 # small-run flags of each subcommand: explore takes the synthesis ones,
@@ -219,8 +220,29 @@ def test_subcommands_take_only_the_flags_they_read(tmp_path, module_file, capsys
     rest = [str(tmp_path / "store.json") if a == "STORE" else a for a in rest]
     with pytest.raises(SystemExit) as exit_:
         main([command, str(module_file), *rest])
-    assert exit_.value.code == 2
+    assert exit_.value.code == 3
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "MODULE", "--fuel", "abc"], "invalid int value"),
+    (["explore"], "required"),
+    (["measure", "sizes", "MODULE", "MODULE"], "invalid choice"),
+])
+def test_usage_errors_are_config_errors(module_file, capsys, argv, message):
+    """Usage errors exit 3 like bad option values; 2 stays for malformed
+    input."""
+    with pytest.raises(SystemExit) as exit_:
+        main([str(module_file) if a == "MODULE" else a for a in argv])
+    assert exit_.value.code == 3
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["trace", "--help"])
+    assert exit_.value.code == 0
+    assert "--fuel" in capsys.readouterr().out
 
 
 def test_measure_static_self_is_zero(module_file, capsys):
@@ -264,6 +286,26 @@ def test_measure_directory_loads_each_file_once(tmp_path, mul_add_text, monkeypa
     assert main(["measure", kind, str(tmp_path)]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 4 * 3 // 2
     assert len(calls) == 4
+
+
+def test_measure_static_tokenizes_each_file_once(tmp_path, mul_add_text, monkeypatch, capsys):
+    import crow.cli
+    import crow.metrics
+
+    for i in range(4):
+        (tmp_path / f"m{i}.wat").write_text(mul_add_text.replace("i32.const 10", f"i32.const {i}"))
+    calls, real = [], crow.metrics.tokenize
+    wrapped = lambda m: calls.append(m) or real(m)
+    monkeypatch.setattr(crow.metrics, "tokenize", wrapped)
+    monkeypatch.setattr(crow.cli, "tokenize", wrapped, raising=False)
+    assert main(["measure", "static", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert len(calls) == 4
+    # each row is the manifest's static distance between the two modules
+    modules = [crow.cli._load_module(str(tmp_path / f"m{i}.wat")) for i in range(4)]
+    assert [int(r.split("\t")[3]) for r in rows] == [
+        dt_static(modules[i], modules[j]) for i in range(4) for j in range(i + 1, 4)
+    ]
 
 
 def test_read_trace_holds_only_the_code_buffer(tmp_path):

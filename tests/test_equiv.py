@@ -139,7 +139,7 @@ def test_comparison_inversion_probable():
 
 def test_exhaustive_one_input_width8():
     b = block_of(("xor", IN(0), IN(0)), 1)
-    verdict, evals, _ = exhaustive_check(b, D(C(0)), 8)
+    verdict, evals, _ = exhaustive_check(b.dag, D(C(0)), 1, 8)
     assert verdict is None  # agreement at reduced width is not a proof
     assert evals == 256
 
@@ -147,7 +147,7 @@ def test_exhaustive_one_input_width8():
 def test_exhaustive_infeasible():
     b = block_of(("add", ("add", IN(0), IN(1)), IN(2)), 3)
     with pytest.raises(InfeasibleDomainError):
-        exhaustive_check(b, D(IN(0)), 32)
+        exhaustive_check(b.dag, D(IN(0)), 3, 32)
 
 
 def test_exhaustive_only_mode_raises_when_unsound():
@@ -217,7 +217,7 @@ def test_add_const_perturbation_rejected(c0, delta):
 
 def test_smtlib_script_shape():
     b = block_of(MUL2, 1)
-    script = emit_smtlib(b, D(SHL1))
+    script = emit_smtlib(b.dag, D(SHL1), 1)
     assert script.startswith("(set-logic QF_BV)")
     assert "(declare-const in0 (_ BitVec 32))" in script
     assert "(bvmul in0 #x00000002)" in script
@@ -228,7 +228,7 @@ def test_smtlib_script_shape():
 
 def test_smtlib_identity_pair():
     b = block_of(IN(0), 1)
-    script = emit_smtlib(b, D(IN(0)))
+    script = emit_smtlib(b.dag, D(IN(0)), 1)
     assert "(assert (distinct in0 in0))" in script
 
 

@@ -143,6 +143,88 @@ def test_disjoint_blocks_do_not_overlap():
     assert blocks_overlap(sub, add) and blocks_overlap(sub, mul)
 
 
+def _op_block(blocks, op):
+    return next(b for b in blocks if b.dag.nodes[b.dag.root].op == op)
+
+
+def test_reading_one_param_at_two_sites_is_no_overlap():
+    m = _parse(
+        """(module
+             (func (param i32) (result i32)
+               local.get 0
+               i32.const 1
+               i32.add
+               drop
+               local.get 0
+               i32.const 2
+               i32.mul))"""
+    )
+    blocks = extract_module_blocks(m)
+    add, mul = _op_block(blocks, "add"), _op_block(blocks, "mul")
+    assert add.input_rnodes == mul.input_rnodes  # one shared input leaf
+    assert not blocks_overlap(add, mul)
+
+
+def test_teed_value_overlaps_both_of_its_readers():
+    m = _parse(
+        """(module
+             (func (param i32) (result i32) (local i32)
+               local.get 0
+               i32.const 3
+               i32.mul
+               local.tee 1
+               i32.const 1
+               i32.add
+               drop
+               local.get 1
+               i32.const 2
+               i32.sub))"""
+    )
+    blocks = extract_module_blocks(m)
+    mul, add, sub = (_op_block(blocks, op) for op in ("mul", "add", "sub"))
+    assert blocks_overlap(mul, add) and blocks_overlap(mul, sub)
+    assert blocks_overlap(add, sub) and blocks_overlap(sub, add)
+
+
+def test_bare_value_blocks_overlap_only_themselves():
+    m = _parse(
+        """(module
+             (func (param i32) (result i32)
+               local.get 0
+               drop
+               i32.const 7
+               drop
+               i32.const 1
+               i32.const 2
+               i32.add))"""
+    )
+    blocks = extract_module_blocks(m)
+    assert [b.root_site for b in blocks] == [0, 2, 6]
+    for a in blocks:
+        for b in blocks:
+            assert blocks_overlap(a, b) == (a is b)
+
+
+def test_blocks_in_two_regions_do_not_overlap():
+    m = _parse(
+        """(module
+             (func (param i32) (result i32)
+               local.get 0
+               i32.const 1
+               i32.add
+               drop
+               block
+               end
+               local.get 0
+               i32.const 2
+               i32.add))"""
+    )
+    first, second = (b for b in extract_module_blocks(m) if b.dag.nodes[b.dag.root].kind == K_OP)
+    assert first.region_index != second.region_index
+    assert first.interior == second.interior  # node ids restart in every region
+    assert not blocks_overlap(first, second)
+
+
 def test_local_tracking_gives_zero_input_block():
     m = _parse(
         """(module (func (result i32) (local i32)

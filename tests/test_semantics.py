@@ -86,7 +86,7 @@ def shared_dags(draw, n_inputs=2):
 @settings(max_examples=200, deadline=None)
 @given(shared_dags(), shared_dags(), st.tuples(*[st.sampled_from(corner_values(32))] * 2))
 def test_smtlib_script_evaluates_to_disagreement(left, right, values):
-    script = emit_smtlib(left, right)
+    script = emit_smtlib(left, right, 2)
     assert eval_script(script, values) == (eval_dag(left, values) != eval_dag(right, values))
 
 
@@ -101,9 +101,9 @@ def tee_chain(depth: int) -> Dag:
 
 def test_smtlib_script_of_deep_shared_chain_stays_small():
     chain = tee_chain(18)
-    script = emit_smtlib(chain, D(("shl", IN(0), ("const", 18))))
+    script = emit_smtlib(chain, D(("shl", IN(0), ("const", 18))), 1)
     assert len(script) < 4096
     for x in corner_values(32):
         assert eval_script(script, (x,)) is False
-    wrong = emit_smtlib(chain, D(("shl", IN(0), ("const", 17))))
+    wrong = emit_smtlib(chain, D(("shl", IN(0), ("const", 17))), 1)
     assert eval_script(wrong, (1,)) is True

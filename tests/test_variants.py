@@ -46,11 +46,11 @@ class _SizedBlock(PureBlock):
         return self._forced
 
 
-def sized_block(bid, func, site, sites, n_nodes):
+def sized_block(bid, func, site, interior, n_nodes):
     blk = _SizedBlock(
         id=bid, func=func, region_index=0, root_site=site,
-        dag=D(("add", C(0), C(1))), inputs=(), covered_sites=frozenset(sites),
-        rnode_ids=(), root_rnode=0,
+        dag=D(("add", C(0), C(1))), inputs=(), interior=frozenset(interior),
+        input_rnodes=(), root_rnode=0,
     )
     object.__setattr__(blk, "_forced", n_nodes)
     return blk
@@ -86,7 +86,7 @@ def test_overlap_transitive_group_keeps_size5():
     kept = list(resolved.blocks.values())
     for i in range(len(kept)):
         for j in range(i + 1, len(kept)):
-            assert not (kept[i].covered_sites & kept[j].covered_sites)
+            assert kept[i].interior.isdisjoint(kept[j].interior)
 
 
 def test_blocks_without_replacements_do_not_compete():

@@ -2,9 +2,10 @@
 
 Exit codes are part of the contract: 0 success, 2 malformed input (parse or
 validation failure, unknown export, malformed trace), 3 configuration error
-(a bad option value, or a usage error such as an unknown or missing
-argument), 4 replacement-store/module mismatch or malformed store, 5 the
-traced program trapped, 6 it ran out of fuel.
+(a bad option value, such as an output path that cannot be written, or a
+usage error such as an unknown or missing argument), 4 replacement-store/
+module mismatch or malformed store, 5 the traced program trapped, 6 it ran
+out of fuel.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import os
 import shlex
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .equiv import CheckerConfig
@@ -33,7 +35,7 @@ from .pipeline import (
     trace_module,
 )
 from .synth import ConfigError, SynthesisConfig, Vocabulary
-from .wat import Module, ParseError, parse_module, validate
+from .wat import INT32_MIN, UINT32_MAX, Module, ParseError, parse_module, validate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -74,13 +76,24 @@ def _load_module(path: str) -> Module:
     return m
 
 
-def _parse_args_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
+@contextmanager
+def _writing(path):
+    """An output that cannot be written is a bad option value."""
     try:
-        return [int(p) for p in text.replace(",", " ").split()]
+        yield
+    except OSError as e:
+        raise _CliError(EXIT_CONFIG, f"{path}: {e}")
+
+
+def _parse_args_list(text: str) -> list[int]:
+    """Integers in the range i32.const takes, [-2**31, 2**32 - 1]."""
+    try:
+        values = [int(p) for p in text.replace(",", " ").split()]
     except ValueError:
+        values = None
+    if values is None or not all(INT32_MIN <= v <= UINT32_MAX for v in values):
         raise _CliError(EXIT_CONFIG, f"bad --args value {text!r}")
+    return values
 
 
 def _solver_cmd(args) -> tuple[str, ...]:
@@ -152,7 +165,8 @@ def _cmd_explore(args) -> int:
     cfg = _run_config(args)
     results = explore_module(m, cfg)
     store = store_to_json(m, cfg, results)
-    Path(args.output).write_text(dump_json(store))
+    with _writing(args.output):
+        Path(args.output).write_text(dump_json(store))
     found = sum(len(r.replacements) for r in results)
     print(f"explored {len(results)} block(s), {found} replacement(s) -> {args.output}")
     if store["budget_exhausted"]:
@@ -199,7 +213,8 @@ def _cmd_generate(args) -> int:
         raise _CliError(EXIT_STORE, str(e))
     outdir = Path(args.output)
     result = report_variants(m, blocks, replacements, cfg)
-    files = write_artifacts(outdir, m, cfg, result, args.module)
+    with _writing(outdir):
+        files = write_artifacts(outdir, m, cfg, result, args.module)
     print(f"{len(files)} unique variant(s) -> {outdir}")
     return EXIT_OK
 
@@ -211,12 +226,11 @@ def _cmd_trace(args) -> int:
         outcome, trace = trace_module(m, cfg.invoke_name, list(cfg.invoke_args), cfg.fuel)
     except InvokeError as e:
         raise _CliError(EXIT_INPUT, str(e))
-    sink = open(args.output, "w") if args.output else sys.stdout
-    try:
-        write_trace(trace, outcome, sink, entry=cfg.invoke_name)
-    finally:
-        if args.output:
-            sink.close()
+    if args.output:
+        with _writing(args.output), open(args.output, "w") as sink:
+            write_trace(trace, outcome, sink, entry=cfg.invoke_name)
+    else:
+        write_trace(trace, outcome, sys.stdout, entry=cfg.invoke_name)
     if outcome.kind == "trap":
         return EXIT_TRAP
     if outcome.kind == "fuel-exhausted":
@@ -275,7 +289,8 @@ def _cmd_diversify(args) -> int:
     except InvokeError as e:
         raise _CliError(EXIT_INPUT, str(e))
     outdir = Path(args.output)
-    files = write_artifacts(outdir, m, cfg, result, args.module)
+    with _writing(outdir):
+        files = write_artifacts(outdir, m, cfg, result, args.module)
     dyn = sum(1 for r in result.reports if r.dt_dyn not in (None, 0))
     print(
         f"{len(files)} unique variant(s), {dyn} with dt_dyn > 0 -> {outdir}"

@@ -87,19 +87,14 @@ def emit_region(
         value_local[key] = local
 
     # Prologue 1: spill consumed entry-stack values, top first.
-    for k in range(ir.entry_used):
-        depth = ir.region.entry_arity - 1 - k
+    for nid in ir.entry_nodes:
         t = new_temp()
         out.append(Instr("local.set", t))
-        bind(t, ir.entry_nodes[depth])
+        bind(t, nid)
 
     # Prologue 2: stash entry values of locals the region overwrites; the
     # entry values of locals never overwritten stay readable in place.
-    written_locals = {
-        a.instr.immediate
-        for a in ir.anchors
-        if a.instr.mnemonic in ("local.set", "local.tee")
-    }
+    written_locals = {a.instr.immediate for a in ir.anchors if a.instr.mnemonic == "local.set"}
     for rn in nodes:
         if rn.kind == K_INPUT and rn.origin.kind in ("param", "local"):
             if rn.origin.index in written_locals:
@@ -150,17 +145,12 @@ def emit_region(
     for anchor in ir.anchors:
         for op in anchor.operands:
             materialize(op, none)
-        m_ = anchor.instr.mnemonic
-        if m_ == "local.tee":
-            # the pushed copy is re-materialized on demand
-            out.append(Instr("local.set", anchor.instr.immediate))
-        else:
-            out.append(anchor.instr)
+        out.append(anchor.instr)
         if anchor.result is not None:
             t = new_temp()
             out.append(Instr("local.set", t))
             bind(t, anchor.result)
-        if m_ in ("local.set", "local.tee"):
+        if anchor.instr.mnemonic == "local.set":
             bind(anchor.instr.immediate, canon(anchor.operands[0], none))
 
     for rid in ir.exit_stack:

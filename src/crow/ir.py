@@ -1,11 +1,12 @@
 """Straight-line regions, expression DAGs, and pure-block extraction.
 
 A function body is cut into straight-line regions at structured control
-instructions. Inside a region, the operand stack is replayed symbolically:
-pure computations become DAG nodes, while loads, calls, global accesses in
-the presence of writers, and trap-capable div/rem stay in place as anchors
-whose results enter the dataflow as opaque input leaves. Memory contents are
-never modeled; a load is a fresh input, full stop.
+instructions. Inside a region, the operand stack is replayed symbolically,
+with each instruction's pops and pushes read from `wat.INSTRUCTIONS` (a
+call's from its callee). Constants, local reads, unpinned global reads and
+pure ops become dataflow; every other instruction stays in place as an
+anchor whose result enters the dataflow as an opaque input leaf. Memory
+contents are never modeled; a load is a fresh input, full stop.
 
 A pure block is the backward dataflow slice hanging off one value-producing
 pure instruction. Evaluating its DAG twice under the same inputs gives the
@@ -112,8 +113,6 @@ MNEMONIC_TO_OP = {v: k for k, v in OP_TO_MNEMONIC.items()}
 
 # Arity of each pure operation, in canonical order.
 PURE_OPS: dict[str, int] = {op: INSTRUCTIONS[mn][1] for op, mn in OP_TO_MNEMONIC.items()}
-
-TRAP_OPS = frozenset(["div_s", "div_u", "rem_s", "rem_u"])
 
 
 # --- standalone DAG model ---------------------------------------------------
@@ -281,7 +280,6 @@ class RNode:
 class Anchor:
     """An instruction replayed verbatim, in order, during re-emission."""
 
-    site: int
     instr: Instr
     operands: tuple[int, ...]  # rnode ids, bottom -> top
     result: int | None = None  # rnode id of the produced input leaf
@@ -293,8 +291,12 @@ class RegionIR:
     nodes: list[RNode] = field(default_factory=list)
     anchors: list[Anchor] = field(default_factory=list)
     exit_stack: list[int] = field(default_factory=list)  # above untouched prefix
-    entry_used: int = 0  # entry slots consumed, from the top down
-    entry_nodes: dict[int, int] = field(default_factory=dict)  # depth -> rnode id
+    entry_nodes: list[int] = field(default_factory=list)  # consumed entry values, top first
+
+
+# Origin kind of the input leaf an anchor pushes.
+_ANCHOR_ORIGIN = {"global.get": "global", "i32.load": "load", "call": "call",
+                  **dict.fromkeys(("i32.div_s", "i32.div_u", "i32.rem_s", "i32.rem_u"), "trap-op")}
 
 
 def build_region_ir(m: Module, region: Region) -> RegionIR:
@@ -318,18 +320,16 @@ def build_region_ir(m: Module, region: Region) -> RegionIR:
     }
 
     stack: list[int] = []  # rnode ids
-    last_assign: dict[int, int] = {}  # local index -> rnode id
-    local_leaves: dict[int, int] = {}  # local index -> input rnode id
+    local_values: dict[int, int] = {}  # local index -> rnode id of its current value
     global_leaves: dict[int, int] = {}  # global index -> input rnode id
 
     def pop() -> int:
         if stack:
             return stack.pop()
-        depth = region.entry_arity - 1 - ir.entry_used
+        depth = region.entry_arity - 1 - len(ir.entry_nodes)
         assert depth >= 0, "operand underflow in validated region"
         nid = new_node(kind=K_INPUT, origin=InputOrigin("entry", index=depth))
-        ir.entry_nodes[depth] = nid
-        ir.entry_used += 1
+        ir.entry_nodes.append(nid)
         return nid
 
     for site in range(region.start, region.end):
@@ -339,70 +339,44 @@ def build_region_ir(m: Module, region: Region) -> RegionIR:
             stack.append(new_node(kind=K_CONST, value=ins.immediate, site=site))
         elif m_ == "local.get":
             idx = ins.immediate
-            if idx in last_assign:
-                nid = last_assign[idx]
-            elif idx in local_leaves:
-                nid = local_leaves[idx]
-            else:
+            if idx not in local_values:  # first touch: the entry value
                 kind = "param" if idx < f.params else "local"
-                nid = new_node(
+                local_values[idx] = new_node(
                     kind=K_INPUT, origin=InputOrigin(kind, index=idx), site=site
                 )
-                local_leaves[idx] = nid
-            stack.append(nid)
-        elif m_ in ("local.set", "local.tee"):
-            nid = pop()
-            ir.anchors.append(Anchor(site, ins, (nid,)))
-            last_assign[ins.immediate] = nid
-            if m_ == "local.tee":
-                stack.append(nid)
-        elif m_ == "global.get":
-            idx = ins.immediate
-            if has_call or idx in written_globals:
-                nid = new_node(
-                    kind=K_INPUT, origin=InputOrigin("global", index=idx, site=site), site=site
-                )
-                ir.anchors.append(Anchor(site, ins, (), result=nid))
-            else:
-                if idx not in global_leaves:
-                    global_leaves[idx] = new_node(
-                        kind=K_INPUT, origin=InputOrigin("global", index=idx), site=site
-                    )
-                nid = global_leaves[idx]
-            stack.append(nid)
-        elif m_ == "global.set":
-            ir.anchors.append(Anchor(site, ins, (pop(),)))
-        elif m_ == "i32.load":
-            addr = pop()
-            nid = new_node(kind=K_INPUT, origin=InputOrigin("load", site=site), site=site)
-            ir.anchors.append(Anchor(site, ins, (addr,), result=nid))
-            stack.append(nid)
-        elif m_ == "i32.store":
-            val = pop()
-            addr = pop()
-            ir.anchors.append(Anchor(site, ins, (addr, val)))
-        elif m_ == "call":
-            callee = m.functions[ins.immediate]
-            args = tuple(pop() for _ in range(callee.params))[::-1]
-            result = None
-            if callee.results:
-                result = new_node(kind=K_INPUT, origin=InputOrigin("call", site=site), site=site)
-            ir.anchors.append(Anchor(site, ins, args, result=result))
-            if result is not None:
-                stack.append(result)
-        elif m_ in ("drop", "nop"):
-            ops = (pop(),) if m_ == "drop" else ()
-            ir.anchors.append(Anchor(site, ins, ops))
-        elif m_.startswith("i32.") and m_[4:] in TRAP_OPS:
-            b = pop()
-            a = pop()
-            nid = new_node(kind=K_INPUT, origin=InputOrigin("trap-op", site=site), site=site)
-            ir.anchors.append(Anchor(site, ins, (a, b), result=nid))
-            stack.append(nid)
-        else:
+            stack.append(local_values[idx])
+        elif m_ in MNEMONIC_TO_OP:
             op = MNEMONIC_TO_OP[m_]
             operands = tuple(pop() for _ in range(PURE_OPS[op]))[::-1]  # bottom -> top
             stack.append(new_node(kind=K_OP, op=op, operands=operands, site=site))
+        elif m_ == "global.get" and not (has_call or ins.immediate in written_globals):
+            idx = ins.immediate
+            if idx not in global_leaves:
+                global_leaves[idx] = new_node(
+                    kind=K_INPUT, origin=InputOrigin("global", index=idx), site=site
+                )
+            stack.append(global_leaves[idx])
+        else:
+            # Replayed in place, popping what the instruction table (or the
+            # callee's signature) says; a value it pushes is an input leaf.
+            if m_ == "call":
+                callee = m.functions[ins.immediate]
+                pops, pushes = callee.params, callee.results
+            else:
+                _, pops, pushes = INSTRUCTIONS[m_]
+            operands = tuple(pop() for _ in range(pops))[::-1]  # bottom -> top
+            result = None
+            if m_ == "local.tee":  # a local.set whose operand stays on the stack
+                ins = Instr("local.set", ins.immediate)
+                stack.append(operands[0])
+            elif pushes:
+                kind = _ANCHOR_ORIGIN[m_]
+                index = ins.immediate if kind == "global" else None
+                result = new_node(kind=K_INPUT, origin=InputOrigin(kind, index, site), site=site)
+                stack.append(result)
+            ir.anchors.append(Anchor(ins, operands, result))
+            if ins.mnemonic == "local.set":
+                local_values[ins.immediate] = operands[0]
 
     ir.exit_stack = stack
     return ir

@@ -13,6 +13,7 @@ into generation.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -66,8 +67,8 @@ class RunConfig:
         errs = self.synthesis.validate() + self.checker.validate()
         if self.jobs < 1:
             errs.append("jobs must be >= 1")
-        if self.timeout_seconds <= 0:
-            errs.append("timeout must be positive")
+        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
+            errs.append("timeout must be finite and positive")
         if self.max_variants < 1:
             errs.append("max-variants must be >= 1")
         if self.fuel < 0:

@@ -206,6 +206,55 @@ def test_negative_fuel_is_a_config_error(tmp_path, module_file, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_timeout_is_a_config_error(tmp_path, module_file, capsys, value):
+    out = tmp_path / "store.json"
+    assert main(["explore", str(module_file), "--timeout-secs", value, "-o", str(out)]) == 3
+    assert "timeout must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+ID_TEXT = '(module (func (param i32) (result i32) local.get 0) (export "id" (func 0)))'
+
+
+@pytest.mark.parametrize("value", ["4294967296", "-2147483649"])
+def test_args_outside_the_i32_const_range_are_config_errors(tmp_path, capsys, value):
+    p = tmp_path / "id.wat"
+    p.write_text(ID_TEXT)
+    assert main(["trace", str(p), "--invoke", "id", "--args", value]) == 3
+    assert "bad --args value" in capsys.readouterr().err
+
+
+def test_args_take_unsigned_i32_values(tmp_path):
+    p = tmp_path / "id.wat"
+    p.write_text(ID_TEXT)
+    out = tmp_path / "id.trace"
+    assert main(["trace", str(p), "--invoke", "id", "--args", "4294967295", "-o", str(out)]) == 0
+    with open(out) as f:
+        _, outcome = read_trace(f)
+    assert str(outcome) == "result -1"
+
+
+@pytest.mark.parametrize("command, under", [
+    ("explore", "missing"), ("explore", "file"),
+    ("trace", "missing"), ("trace", "file"),
+    ("generate", "file"),
+    ("diversify", "file"),  # diversify creates missing parent directories
+])
+def test_unwritable_output_is_a_config_error(tmp_path, module_file, capsys, command, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = (tmp_path / "missing" if under == "missing" else blocker) / "out"
+    argv = [command, str(module_file)]
+    if command == "generate":
+        store = tmp_path / "store.json"
+        assert main(["explore", str(module_file), "-o", str(store), *EXPLORE_SMALL]) == 0
+        argv.append(str(store))
+    extra = {"explore": EXPLORE_SMALL, "generate": GENERATE_SMALL, "diversify": SMALL}
+    assert main([*argv, "-o", str(out), *extra.get(command, [])]) == 3
+    assert capsys.readouterr().err.startswith(f"crow: {out}: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["explore", "--max-variants", "0"],
     ["explore", "--fuel", "-1"],

@@ -1,8 +1,9 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from crow.emit import emit_dag
@@ -29,6 +30,7 @@ from crow.wat import FuncDef, Module, parse_module, print_module, validate
 
 from dagutil import C, D, IN
 from semantics_spec import corner_values, spec, to_signed
+from strategies import modules
 
 FAST = CheckerConfig(samples=512)
 
@@ -363,6 +365,44 @@ def test_emission_drop_region():
             i32.add)
           (export "run" (func 0)))"""
     )
+
+
+# --- emission over generated modules ----------------------------------------------------
+
+EMIT_FUEL = 2000  # a generated loop may never exit; the original's run ends here
+
+
+def _final_state(m: Module, name: str, args: list[int], fuel: int):
+    state = instantiate(m, fuel=fuel)
+    outcome, _ = invoke(state, name, args)
+    return outcome, state.globals, bytes(state.memory)
+
+
+@settings(max_examples=150, deadline=None)
+@given(modules(), st.randoms(use_true_random=False))
+def test_reemitted_generated_modules_keep_their_effects(m, rng):
+    """Every kept block re-emitted from its own DAG or, on a seeded subset of
+    input-free blocks, from the constant it evaluates to: the variant
+    validates, and each function that finishes within its fuel ends with the
+    original's outcome, globals and memory."""
+    m = replace(m, exports={f"f{i}": i for i in range(len(m.functions))})
+    blocks = extract_module_blocks(m)
+    reps = {}
+    for b in blocks:
+        dag = D(C(eval_dag(b.dag, ()))) if not b.inputs and rng.random() < 0.5 else b.dag
+        reps[b.id] = [Replacement(b.id, Candidate(dag, 0), "probable", "reduced-width", 1)]
+    s = resolve_overlaps(blocks, reps)
+    assume(s.blocks)
+    out = apply_plan(m, s, VariantPlan(dict.fromkeys(s.blocks, 0)))
+    assert validate(out) == []
+    for name, fn in m.exports.items():
+        args = [rng.choice([0, 1, -1, 7, rng.randint(-(2**31), 2**31 - 1)])
+                for _ in range(m.functions[fn].params)]
+        want = _final_state(m, name, args, EMIT_FUEL)
+        if want[0].kind == "fuel-exhausted":
+            continue
+        # re-emission spills to temps and re-materializes values: more events
+        assert _final_state(out, name, args, 64 * EMIT_FUEL) == want, print_module(out)
 
 
 # --- standalone DAG emission / interpreter agreement -----------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from crow import corpus
 from crow.cli import write_artifacts
+from crow.equiv import ConfigError
 from crow.pipeline import RunConfig, diversify
 from crow.wat import parse_module
 
@@ -46,6 +47,15 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--only", default="", help="comma-separated program names")
     args = parser.parse_args(argv)
+    try:
+        cfg = RunConfig(
+            max_variants=args.max_variants,
+            timeout_seconds=args.timeout_secs,
+            seed=args.seed,
+            jobs=args.jobs,
+        )
+    except ConfigError as e:
+        parser.error(str(e))
 
     names = [n for n in args.only.split(",") if n] or corpus.names()
     outroot = Path(args.out)
@@ -54,12 +64,6 @@ def main(argv=None) -> int:
     rows = []
     for name in names:
         module = parse_module(corpus.load(name))
-        cfg = RunConfig(
-            max_variants=args.max_variants,
-            timeout_seconds=args.timeout_secs,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
         result = diversify(module, cfg)
         write_artifacts(outroot / name, module, cfg, result, f"{name}.wat")
         rows.append(summarize(name, result))

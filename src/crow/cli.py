@@ -18,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .equiv import CheckerConfig
+from .equiv import SOLVER_ENV, CheckerConfig, ConfigError
 from .interp import DEFAULT_FUEL, InvokeError, TraceFormatError, read_trace, write_trace
 from .metrics import dt_dyn, dtw, tokenize
 from .pipeline import (
@@ -34,7 +34,7 @@ from .pipeline import (
     store_to_json,
     trace_module,
 )
-from .synth import ConfigError, SynthesisConfig, Vocabulary
+from .synth import SynthesisConfig, Vocabulary
 from .wat import INT32_MIN, UINT32_MAX, Module, ParseError, parse_module, validate
 
 EXIT_OK = 0
@@ -43,8 +43,6 @@ EXIT_CONFIG = 3
 EXIT_STORE = 4
 EXIT_TRAP = 5
 EXIT_FUEL = 6
-
-SOLVER_ENV = "CROW_SOLVER"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,6 +81,17 @@ def _writing(path):
         yield
     except OSError as e:
         raise _CliError(EXIT_CONFIG, f"{path}: {e}")
+
+
+def _claim_output(path, directory: bool = False):
+    """Fails on an output that cannot be written before any work is done:
+    creates the output directory, or opens the output file for appending,
+    so that an existing file is not truncated yet."""
+    with _writing(path):
+        if directory:
+            Path(path).mkdir(parents=True, exist_ok=True)
+        else:
+            open(path, "a").close()
 
 
 def _parse_args_list(text: str) -> list[int]:
@@ -126,17 +135,9 @@ def _run_config(args) -> RunConfig:
             )
         if "args" in given:
             fields["invoke_args"] = tuple(_parse_args_list(args.args))
-        cfg = RunConfig(**fields)
-    except (ConfigError, KeyError) as e:
+        return RunConfig(**fields)
+    except ConfigError as e:
         raise _CliError(EXIT_CONFIG, str(e))
-    errs = cfg.validate()
-    if errs:
-        raise _CliError(EXIT_CONFIG, "; ".join(errs))
-    if cfg.checker.mode == "smt" and not cfg.checker.solver_cmd:
-        raise _CliError(
-            EXIT_CONFIG, f"--checker smt needs --solver-cmd or ${SOLVER_ENV}"
-        )
-    return cfg
 
 
 def _add_synthesis(p: argparse.ArgumentParser):
@@ -163,6 +164,7 @@ def _add_run(p: argparse.ArgumentParser):
 def _cmd_explore(args) -> int:
     m = _load_module(args.module)
     cfg = _run_config(args)
+    _claim_output(args.output)
     results = explore_module(m, cfg)
     store = store_to_json(m, cfg, results)
     with _writing(args.output):
@@ -205,13 +207,14 @@ def _cmd_generate(args) -> int:
     cfg = _run_config(args)
     try:
         store = json.loads(Path(args.store).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:  # too deeply nested
         raise _CliError(EXIT_INPUT, f"{args.store}: {e}")
     try:
         blocks, replacements = replacements_from_store(m, store)
     except StoreMismatchError as e:
         raise _CliError(EXIT_STORE, str(e))
     outdir = Path(args.output)
+    _claim_output(outdir, directory=True)
     result = report_variants(m, blocks, replacements, cfg)
     with _writing(outdir):
         files = write_artifacts(outdir, m, cfg, result, args.module)
@@ -222,6 +225,8 @@ def _cmd_generate(args) -> int:
 def _cmd_trace(args) -> int:
     m = _load_module(args.module)
     cfg = _run_config(args)
+    if args.output:
+        _claim_output(args.output)
     try:
         outcome, trace = trace_module(m, cfg.invoke_name, list(cfg.invoke_args), cfg.fuel)
     except InvokeError as e:
@@ -284,11 +289,12 @@ def _cmd_measure(args) -> int:
 def _cmd_diversify(args) -> int:
     m = _load_module(args.module)
     cfg = _run_config(args)
+    outdir = Path(args.output)
+    _claim_output(outdir, directory=True)
     try:
         result = diversify(m, cfg)
     except InvokeError as e:
         raise _CliError(EXIT_INPUT, str(e))
-    outdir = Path(args.output)
     with _writing(outdir):
         files = write_artifacts(outdir, m, cfg, result, args.module)
     dyn = sum(1 for r in result.reports if r.dt_dyn not in (None, 0))

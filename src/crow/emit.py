@@ -106,40 +106,46 @@ def emit_region(
                 bind(rn.origin.index, rn.id)
 
     def materialize(rid: int, skip: frozenset):
-        key = canon(rid, skip)
-        if key in value_local:
-            out.append(Instr("local.get", value_local[key]))
-            return
-        if rid in substitutions and rid not in skip:
-            dag, binding = substitutions[rid]
-            emit_candidate(dag, dag.root, binding, skip | {rid})
-            return
-        rn = nodes[rid]
-        if rn.kind == K_CONST:
-            out.append(Instr("i32.const", wrap_i32(rn.value)))
-        elif rn.kind == K_OP:
-            for o in rn.operands:
-                materialize(o, skip)
-            out.append(Instr(OP_TO_MNEMONIC[rn.op]))
-        else:
-            origin = rn.origin
-            if origin.kind in ("param", "local"):
-                out.append(Instr("local.get", origin.index))
-            elif origin.stable:  # a global no in-region writer pins
-                out.append(Instr("global.get", origin.index))
-            else:  # pragma: no cover - anchored values always sit in temps
-                raise AssertionError(f"no materialization for {origin}")
-
-    def emit_candidate(dag: Dag, idx: int, binding: tuple[int, ...], skip: frozenset):
-        n = dag.nodes[idx]
-        if n.kind == K_CONST:
-            out.append(Instr("i32.const", wrap_i32(n.value)))
-        elif n.kind == K_INPUT:
-            materialize(binding[n.input], skip)
-        else:
-            for o in n.operands:
-                emit_candidate(dag, o, binding, skip)
-            out.append(Instr(OP_TO_MNEMONIC[n.op]))
+        """Emits the value of region node `rid`. Pending work sits on an
+        explicit stack, so a deep pure chain is not bounded by Python's
+        recursion limit: an Instr to append, a region node (rid, skip), or
+        a candidate node (dag, index, binding, skip). Operands are pushed
+        last first, so they are emitted in order."""
+        work: list = [(rid, skip)]
+        while work:
+            item = work.pop()
+            if isinstance(item, Instr):
+                out.append(item)
+            elif len(item) == 4:
+                dag, idx, binding, skip = item
+                n = dag.nodes[idx]
+                if n.kind == K_CONST:
+                    out.append(Instr("i32.const", wrap_i32(n.value)))
+                elif n.kind == K_INPUT:
+                    work.append((binding[n.input], skip))
+                else:
+                    work.append(Instr(OP_TO_MNEMONIC[n.op]))
+                    work.extend((dag, o, binding, skip) for o in reversed(n.operands))
+            else:
+                rid, skip = item
+                key = canon(rid, skip)
+                rn = nodes[rid]
+                if key in value_local:
+                    out.append(Instr("local.get", value_local[key]))
+                elif rid in substitutions and rid not in skip:
+                    dag, binding = substitutions[rid]
+                    work.append((dag, dag.root, binding, skip | {rid}))
+                elif rn.kind == K_CONST:
+                    out.append(Instr("i32.const", wrap_i32(rn.value)))
+                elif rn.kind == K_OP:
+                    work.append(Instr(OP_TO_MNEMONIC[rn.op]))
+                    work.extend((o, skip) for o in reversed(rn.operands))
+                elif rn.origin.kind in ("param", "local"):
+                    out.append(Instr("local.get", rn.origin.index))
+                elif rn.origin.stable:  # a global no in-region writer pins
+                    out.append(Instr("global.get", rn.origin.index))
+                else:  # pragma: no cover - anchored values always sit in temps
+                    raise AssertionError(f"no materialization for {rn.origin}")
 
     none = frozenset()
     for anchor in ir.anchors:

@@ -36,6 +36,12 @@ TIER_REJECTED = "rejected"
 # The methods that can admit a candidate at each tier.
 TIER_METHODS = {TIER_VERIFIED: ("exhaustive", "smt"), TIER_PROBABLE: ("reduced-width",)}
 
+SOLVER_ENV = "CROW_SOLVER"  # environment variable read when --solver-cmd is not given
+
+
+class ConfigError(ValueError):
+    """A configuration value is out of range; configs raise it when built."""
+
 
 class InfeasibleDomainError(Exception):
     """The requested exhaustive sweep does not fit in the evaluation budget."""
@@ -58,15 +64,18 @@ class CheckerConfig:
     solver_cmd: tuple[str, ...] = ()
     solver_timeout: float = 5.0
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         errs = []
         if self.mode not in ("exhaustive-only", "probable-ok", "smt"):
             errs.append(f"unknown checker mode {self.mode!r}")
+        if self.mode == "smt" and not self.solver_cmd:
+            errs.append(f"--checker smt needs --solver-cmd or ${SOLVER_ENV}")
         if any(not 2 <= w <= 32 for w in self.widths):
             errs.append("reduced widths must lie in 2..32")
         if self.samples < 0:
             errs.append("sample count must be >= 0")
-        return errs
+        if errs:
+            raise ConfigError("; ".join(errs))
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -263,8 +272,10 @@ def run_solver(cmd, script: str, timeout: float):
 
 def check(b: PureBlock, c: Dag, cfg: CheckerConfig, seed: int) -> Verdict:
     """Decides equivalence of a block and a candidate per the configured
-    mode (`cfg` already validated); `seed` draws the width-32 samples.
-    Candidate inputs must be a subset of the block's inputs."""
+    mode; `seed` draws the width-32 samples. Candidate inputs must be a
+    subset of the block's inputs. Only a zero-input block's domain fits the
+    exhaustive budget, so exhaustive-only mode raises InfeasibleDomainError
+    for a block with inputs (synthesis skips such blocks, `synth.skip_reason`)."""
     n = len(b.inputs)
     evals = 0
     notes: list[str] = []
@@ -275,7 +286,7 @@ def check(b: PureBlock, c: Dag, cfg: CheckerConfig, seed: int) -> Verdict:
         return Verdict(verdict.tier, verdict.method, verdict.counterexample, evals + ev)
 
     # Sound path 2: external solver.
-    if cfg.mode == "smt" and cfg.solver_cmd:
+    if cfg.mode == "smt":
         script = emit_smtlib(b.dag, c, n)
         answer, out = run_solver(cfg.solver_cmd, script, cfg.solver_timeout)
         if answer == "unsat":

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__, metrics
-from .equiv import TIER_METHODS, CheckerConfig
+from .equiv import TIER_METHODS, CheckerConfig, ConfigError
 from .interp import DEFAULT_FUEL, Outcome, Trace, instantiate, invoke
 from .ir import Dag, DagNode, PureBlock, extract_module_blocks
 from .metrics import TokenSeq, dt_dyn, tokenize
@@ -28,6 +28,7 @@ from .synth import (
     Candidate,
     Replacement,
     SynthesisConfig,
+    skip_reason,
     synthesize_replacements,
 )
 from .variants import (
@@ -63,8 +64,8 @@ class RunConfig:
     invoke_args: tuple[int, ...] = ()
     fuel: int = DEFAULT_FUEL
 
-    def validate(self) -> list[str]:
-        errs = self.synthesis.validate() + self.checker.validate()
+    def __post_init__(self):
+        errs = []
         if self.jobs < 1:
             errs.append("jobs must be >= 1")
         if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
@@ -73,7 +74,8 @@ class RunConfig:
             errs.append("max-variants must be >= 1")
         if self.fuel < 0:
             errs.append("fuel must be >= 0")
-        return errs
+        if errs:
+            raise ConfigError("; ".join(errs))
 
 
 # --- exploration ----------------------------------------------------------------
@@ -97,7 +99,7 @@ def explore_module(m: Module, cfg: RunConfig) -> list[BlockSynthesis]:
     converted once to work units, equally across the blocks eligible for
     synthesis."""
     blocks = extract_module_blocks(m)
-    eligible = [b for b in blocks if b.node_count <= cfg.synthesis.max_block_nodes]
+    eligible = [b for b in blocks if skip_reason(b, cfg.synthesis, cfg.checker) is None]
     quota = int(cfg.timeout_seconds / max(len(eligible), 1) * WORK_UNITS_PER_SECOND)
     tasks = [(b, cfg.synthesis, cfg.checker, quota, cfg.seed) for b in blocks]
     return _fan_out(_synth_task, tasks, cfg.jobs)
@@ -189,7 +191,7 @@ def _stored_replacement(block: PureBlock, rep: dict) -> Replacement:
     for key in ("enum_index", "emitted_len"):
         if type(rep[key]) is not int:
             raise ValueError(f"{key} {rep[key]!r} is not an int")
-    return Replacement(block_id=block.id, candidate=Candidate(dag, rep["enum_index"]),
+    return Replacement(candidate=Candidate(dag, rep["enum_index"]),
                        tier=rep["tier"], method=rep["method"], emitted_len=rep["emitted_len"])
 
 

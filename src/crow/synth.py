@@ -34,7 +34,7 @@ import numpy as np
 
 from . import equiv
 from .emit import emit_dag
-from .equiv import CheckerConfig, InfeasibleDomainError, batch_apply, batch_eval
+from .equiv import CheckerConfig, ConfigError, batch_apply, batch_eval
 from .ir import Dag, DagNode, K_CONST, K_INPUT, K_OP, PURE_OPS, PureBlock, _reachable_key
 from .wat import wrap_i32
 
@@ -59,10 +59,6 @@ CANDIDATE_OPS = tuple(PURE_OPS)  # canonical order
 
 CORNER_VALUES = (0, 1, -1, 2, 10, 2**31 - 1, -(2**31))
 CORNER_CAP = 512
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ class SynthesisConfig:
     max_block_nodes: int = 64  # larger blocks are recorded but not synthesized
     max_replacements: int = 24  # deterministic early stop per block
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         errs = []
         if not 1 <= self.max_size <= 50:
             errs.append("max candidate size must lie in 1..50")
@@ -111,7 +107,8 @@ class SynthesisConfig:
             errs.append("prefilter vector count must be >= 1")
         if not self.vocabulary.ops and not self.vocabulary.allow_const:
             errs.append("vocabulary is empty")
-        return errs
+        if errs:
+            raise ConfigError("; ".join(errs))
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,6 @@ class Candidate:
 
 @dataclass(frozen=True)
 class Replacement:
-    block_id: str
     candidate: Candidate
     tier: str  # 'verified' | 'probable'
     method: str
@@ -137,6 +133,15 @@ class BlockSynthesis:
     work_units: int = 0
     stopped: str = "complete"  # 'complete' | 'budget' | 'cap' | 'skipped'
     skipped_reason: str | None = None
+
+
+def skip_reason(b: PureBlock, cfg: SynthesisConfig, checker: CheckerConfig) -> str | None:
+    """Why block `b` gets no synthesis budget, or None when it is eligible."""
+    if b.node_count > cfg.max_block_nodes:
+        return f"block has {b.node_count} nodes (> {cfg.max_block_nodes})"
+    if b.inputs and checker.mode == "exhaustive-only":
+        return f"block has {len(b.inputs)} input(s), which the exhaustive checker cannot verify"
+    return None
 
 
 def constant_pool(b: PureBlock, cfg: SynthesisConfig) -> tuple[int, ...]:
@@ -352,13 +357,9 @@ def synthesize_replacements(
     """Collects every candidate the checker does not reject, in stream order,
     until enumeration completes, the replacement cap is hit, or the block's
     `quota` of work units runs out."""
-    errs = cfg.validate() + checker.validate()
-    if errs:
-        raise ConfigError("; ".join(errs))
-    result = BlockSynthesis(block=b)
-    if b.node_count > cfg.max_block_nodes:
+    result = BlockSynthesis(block=b, skipped_reason=skip_reason(b, cfg, checker))
+    if result.skipped_reason:
         result.stopped = "skipped"
-        result.skipped_reason = f"block has {b.node_count} nodes (> {cfg.max_block_nodes})"
         return result
 
     leaves = _leaves_for(b, cfg)
@@ -385,16 +386,12 @@ def synthesize_replacements(
 
     def admit(dag: Dag, index: int) -> bool:
         """Checks one prefilter survivor; False means stop the stream."""
-        try:
-            verdict = equiv.check(b, dag, checker, seed)
-        except InfeasibleDomainError:
-            return True
+        verdict = equiv.check(b, dag, checker, seed)
         result.work_units += verdict.evals
         if verdict.tier == equiv.TIER_REJECTED:
             return True
         result.replacements.append(
             Replacement(
-                block_id=b.id,
                 candidate=Candidate(dag, index),
                 tier=verdict.tier,
                 method=verdict.method,

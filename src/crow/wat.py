@@ -221,20 +221,28 @@ def _tokenize(text: str):
 
 
 def _read_sexpr(tokens: list[_Token], pos: int):
-    """Returns (tree, next_pos); tree nodes are _Token or list[tree]."""
+    """Returns (tree, next_pos); tree nodes are _Token or list[tree]. Open
+    lists sit on an explicit stack, so nesting depth is not bounded by
+    Python's recursion limit."""
     tok = tokens[pos]
-    if tok.kind == "lp":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos].kind != "rp":
-            item, pos = _read_sexpr(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise ParseError("unclosed '('", tok.line, tok.col)
-        return items, pos + 1
     if tok.kind == "rp":
         raise ParseError("unexpected ')'", tok.line, tok.col)
-    return tok, pos + 1
+    if tok.kind != "lp":
+        return tok, pos + 1
+    stack = [(tok, [])]  # each open '(' with the items read inside it so far
+    for pos in range(pos + 1, len(tokens)):
+        tok = tokens[pos]
+        if tok.kind == "lp":
+            stack.append((tok, []))
+        elif tok.kind == "rp":
+            _, items = stack.pop()
+            if not stack:
+                return items, pos + 1
+            stack[-1][1].append(items)
+        else:
+            stack[-1][1].append(tok)
+    tok = stack[-1][0]
+    raise ParseError("unclosed '('", tok.line, tok.col)
 
 
 _NUMBER_RE = re.compile(r"[-+]?\d+$")

@@ -13,17 +13,17 @@ import numpy as np
 
 from crow import equiv
 from crow.emit import emit_dag
-from crow.equiv import InfeasibleDomainError, batch_apply, batch_eval
+from crow.equiv import batch_apply, batch_eval
 from crow.ir import PURE_OPS, SEMANTICS, _reachable_key, width_constants
 from crow.synth import (
     BlockSynthesis,
     Candidate,
-    ConfigError,
     Replacement,
     _leaves_for,
     _tree_to_dag,
     infer_constant,
     prefilter_vectors,
+    skip_reason,
 )
 
 
@@ -87,13 +87,9 @@ def reference_stream(b, cfg):
 
 
 def synthesize_reference(b, cfg, checker, quota, seed) -> BlockSynthesis:
-    errs = cfg.validate() + checker.validate()
-    if errs:
-        raise ConfigError("; ".join(errs))
-    result = BlockSynthesis(block=b)
-    if b.node_count > cfg.max_block_nodes:
+    result = BlockSynthesis(block=b, skipped_reason=skip_reason(b, cfg, checker))
+    if result.skipped_reason:
         result.stopped = "skipped"
-        result.skipped_reason = f"block has {b.node_count} nodes (> {cfg.max_block_nodes})"
         return result
 
     leaves = _leaves_for(b, cfg)
@@ -126,16 +122,12 @@ def synthesize_reference(b, cfg, checker, quota, seed) -> BlockSynthesis:
         dag = candidate_dag if candidate_dag is not None else _tree_to_dag(tree, leaves)
         if not vectors and (equiv.eval_dag(dag, (), 32) & 0xFFFFFFFF) != block_scalar:
             return True
-        try:
-            verdict = equiv.check(b, dag, checker, seed)
-        except InfeasibleDomainError:
-            return True
+        verdict = equiv.check(b, dag, checker, seed)
         result.work_units += verdict.evals
         if verdict.tier == equiv.TIER_REJECTED:
             return True
         result.replacements.append(
             Replacement(
-                block_id=b.id,
                 candidate=Candidate(dag, index),
                 tier=verdict.tier,
                 method=verdict.method,

@@ -267,7 +267,7 @@ def test_criterion_7_combination_arithmetic():
     for i, count in enumerate([6, 1]):
         blk = sized_block(f"b{i}", 0, i * 10, {i * 10}, 3)
         blocks[blk.id] = blk
-        reps[blk.id] = [fake_replacement(blk.id, k) for k in range(count)]
+        reps[blk.id] = [fake_replacement(k) for k in range(count)]
     s = ReplacementSet(blocks=blocks, replacements=reps)
     assert plan_count(s) + 1 == 14  # the power set, counting the original
     plans, truncated = enumerate_combinations(s, limit=1000)
@@ -277,7 +277,7 @@ def test_criterion_7_combination_arithmetic():
     small = sized_block("small", 0, 1, {1}, 2)
     resolved = resolve_overlaps(
         [big, small],
-        {"big": [fake_replacement("big")], "small": [fake_replacement("small")]},
+        {"big": [fake_replacement()], "small": [fake_replacement()]},
     )
     assert set(resolved.blocks) == {"big"}
     report(7, "6x1 fixture gives 14 combinations (13 plans); overlap keeps the largest block")

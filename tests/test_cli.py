@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import crow.cli
 from crow import corpus
 from crow.cli import main
 from crow.interp import read_trace
@@ -241,7 +242,9 @@ def test_args_take_unsigned_i32_values(tmp_path):
     ("generate", "file"),
     ("diversify", "file"),  # diversify creates missing parent directories
 ])
-def test_unwritable_output_is_a_config_error(tmp_path, module_file, capsys, command, under):
+def test_unwritable_output_is_a_config_error(tmp_path, module_file, capsys, monkeypatch,
+                                             command, under):
+    """The output is checked before the work, which is patched to fail."""
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     out = (tmp_path / "missing" if under == "missing" else blocker) / "out"
@@ -250,9 +253,24 @@ def test_unwritable_output_is_a_config_error(tmp_path, module_file, capsys, comm
         store = tmp_path / "store.json"
         assert main(["explore", str(module_file), "-o", str(store), *EXPLORE_SMALL]) == 0
         argv.append(str(store))
-    extra = {"explore": EXPLORE_SMALL, "generate": GENERATE_SMALL, "diversify": SMALL}
-    assert main([*argv, "-o", str(out), *extra.get(command, [])]) == 3
+    work = {"explore": "explore_module", "generate": "report_variants",
+            "trace": "trace_module", "diversify": "diversify"}[command]
+    monkeypatch.setattr(crow.cli, work, lambda *a, **k: pytest.fail(f"{work} ran before -o"))
+    assert main([*argv, "-o", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"crow: {out}: ")
+
+
+def test_deeply_nested_module_is_malformed_input(tmp_path):
+    p = tmp_path / "nest.wat"
+    p.write_text("(module " + "(" * 3000 + ")" * 3000 + ")")
+    assert main(["explore", str(p), "-o", str(tmp_path / "store.json")]) == 2
+
+
+def test_deeply_nested_store_is_malformed_input(tmp_path, module_file, capsys):
+    store = tmp_path / "deep.json"
+    store.write_text("[" * 200_000)
+    assert main(["generate", str(module_file), str(store), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"crow: {store}: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -442,3 +460,14 @@ def test_run_corpus_matches_diversify(tmp_path):
     assert "traces/variant_0.trace" in want and got == want
     rows = (tmp_path / "corpus" / "summary.tsv").read_text().splitlines()
     assert [r.split("\t")[0] for r in rows] == ["name", "mul_add"]
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_run_corpus_rejects_a_bad_config(tmp_path, capsys, value):
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_corpus.py"))
+    out = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as exit_:
+        script["main"](["--out", str(out), "--only", "mul_add", "--timeout-secs", value])
+    assert exit_.value.code == 2
+    assert "timeout must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()

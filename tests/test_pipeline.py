@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from crow import pipeline
 from crow.equiv import CheckerConfig
 from crow.pipeline import (
     RunConfig,
@@ -15,7 +17,7 @@ from crow.pipeline import (
     replacements_from_store,
     store_to_json,
 )
-from crow.synth import SynthesisConfig
+from crow.synth import WORK_UNITS_PER_SECOND, ConfigError, SynthesisConfig
 from crow.wat import parse_module
 
 from dagutil import C, D, IN
@@ -33,6 +35,40 @@ def _explored(m):
     them to generation."""
     results = explore_module(m, FAST)
     return [r.block for r in results], {r.block.id: r.replacements for r in results}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RunConfig(jobs=0),
+    lambda: SynthesisConfig(max_size=0),
+    lambda: CheckerConfig(mode="smt"),
+    lambda: dataclasses.replace(RunConfig(), fuel=-1),
+], ids=["jobs", "max-size", "smt-without-solver", "replace-fuel"])
+def test_configs_are_valid_once_built(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_exhaustive_checker_budgets_zero_input_blocks_only(mul_add_module, monkeypatch):
+    """The exhaustive checker verifies only zero-input blocks, so blocks with
+    inputs are skipped uncharged and the quota is split among the others."""
+    quotas = []
+    real = pipeline.synthesize_replacements
+
+    def spy(b, synthesis, checker, quota, seed):
+        quotas.append(quota)
+        return real(b, synthesis, checker, quota, seed)
+
+    monkeypatch.setattr(pipeline, "synthesize_replacements", spy)
+    cfg = dataclasses.replace(FAST, checker=CheckerConfig(mode="exhaustive-only"))
+    results = explore_module(mul_add_module, cfg)
+    with_inputs = [r for r in results if r.block.inputs]
+    zero_input = [r for r in results if not r.block.inputs]
+    assert with_inputs and zero_input
+    for r in with_inputs:
+        assert (r.stopped, r.candidates_seen, r.work_units) == ("skipped", 0, 0)
+        assert "exhaustive checker" in r.skipped_reason
+    assert all(r.replacements and r.stopped != "skipped" for r in zero_input)
+    assert set(quotas) == {int(cfg.timeout_seconds / len(zero_input) * WORK_UNITS_PER_SECOND)}
 
 
 def test_dag_json_roundtrip():

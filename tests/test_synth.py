@@ -395,9 +395,10 @@ def test_batched_synthesis_matches_oracle(batching, case):
                           max_replacements=10**6), 20_000),
          CheckerConfig(samples=30_000),
          lambda r: r.stopped == "budget" and r.work_units > 30_000),
-        # every input-block check is infeasible: nothing is kept, nothing charged
+        # the exhaustive checker cannot verify an input block: it is skipped uncharged
         (("mul", IN(0), C(2)), 1, (SynthesisConfig(max_size=2), 40_000),
-         CheckerConfig(mode="exhaustive-only"), lambda r: not r.replacements),
+         CheckerConfig(mode="exhaustive-only"),
+         lambda r: (r.stopped, r.candidates_seen, r.work_units) == ("skipped", 0, 0)),
         # a block of 3 ops that the size-3 stream contains: its own tree is skipped
         (("add", ("add", IN(0), IN(0)), ("add", IN(0), IN(0))), 1,
          (SynthesisConfig(vocabulary=Vocabulary.of("add", "const"), pool_base=(1,)), QUOTA),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from crow.emit import emit_dag
+from crow.emit import emit_dag, reemit_function
 from crow.equiv import CheckerConfig, eval_dag
 from crow.interp import instantiate, invoke
 from crow.ir import PURE_OPS, PureBlock, extract_module_blocks
@@ -35,8 +35,8 @@ from strategies import modules
 FAST = CheckerConfig(samples=512)
 
 
-def fake_replacement(bid, k=0):
-    return Replacement(bid, Candidate(D(C(k)), k), "probable", "reduced-width", 1)
+def fake_replacement(k=0):
+    return Replacement(Candidate(D(C(k)), k), "probable", "reduced-width", 1)
 
 
 class _SizedBlock(PureBlock):
@@ -65,7 +65,7 @@ def test_overlap_keeps_largest(mul_add_module):
     blocks = extract_module_blocks(mul_add_module)
     a = next(b for b in blocks if b.func == 0 and b.dag.nodes[b.dag.root].op == "mul")
     bb = next(b for b in blocks if b.func == 0 and b.dag.nodes[b.dag.root].op == "add")
-    reps = {a.id: [fake_replacement(a.id)], bb.id: [fake_replacement(bb.id)]}
+    reps = {a.id: [fake_replacement()], bb.id: [fake_replacement()]}
     resolved = resolve_overlaps([a, bb], reps)
     assert set(resolved.blocks) == {bb.id}
     assert a.id in resolved.dropped
@@ -74,7 +74,7 @@ def test_overlap_keeps_largest(mul_add_module):
 def test_overlap_disjoint_blocks_both_retained():
     b1 = sized_block("x", 0, 0, {0, 1}, 4)
     b2 = sized_block("y", 0, 5, {5, 6}, 3)
-    resolved = resolve_overlaps([b1, b2], {"x": [fake_replacement("x")], "y": [fake_replacement("y")]})
+    resolved = resolve_overlaps([b1, b2], {"x": [fake_replacement()], "y": [fake_replacement()]})
     assert set(resolved.blocks) == {"x", "y"}
 
 
@@ -82,7 +82,7 @@ def test_overlap_transitive_group_keeps_size5():
     b5 = sized_block("b5", 0, 2, {0, 1, 2}, 5)
     b3 = sized_block("b3", 0, 1, {1, 5}, 3)
     b2 = sized_block("b2", 0, 5, {2, 5}, 2)
-    reps = {b.id: [fake_replacement(b.id)] for b in (b5, b3, b2)}
+    reps = {b.id: [fake_replacement()] for b in (b5, b3, b2)}
     resolved = resolve_overlaps([b5, b3, b2], reps)
     assert set(resolved.blocks) == {"b5"}
     kept = list(resolved.blocks.values())
@@ -94,7 +94,7 @@ def test_overlap_transitive_group_keeps_size5():
 def test_blocks_without_replacements_do_not_compete():
     big = sized_block("big", 0, 9, {0, 1, 2, 3}, 9)
     small = sized_block("small", 0, 1, {1}, 2)
-    resolved = resolve_overlaps([big, small], {"small": [fake_replacement("small")]})
+    resolved = resolve_overlaps([big, small], {"small": [fake_replacement()]})
     assert set(resolved.blocks) == {"small"}
 
 
@@ -107,7 +107,7 @@ def _set_with(counts):
     for i, c in enumerate(counts):
         blk = sized_block(f"b{i}", 0, i * 10, {i * 10}, 3)
         blocks[blk.id] = blk
-        reps[blk.id] = [fake_replacement(blk.id, k) for k in range(c)]
+        reps[blk.id] = [fake_replacement(k) for k in range(c)]
     return ReplacementSet(blocks=blocks, replacements=reps)
 
 
@@ -367,6 +367,22 @@ def test_emission_drop_region():
     )
 
 
+def test_reemit_deep_pure_chain():
+    """Substituting the first add of a 2000-op chain re-emits the whole
+    chain, one DAG level per op, without a recursion limit. Blocks are not
+    extracted: extraction is quadratic in the chain length."""
+    m = parse_module(
+        "(module (func (param i32) (result i32) local.get 0"
+        + " i32.const 3 i32.add" * 2000 + ') (export "run" (func 0)))'
+    )
+    # region node 2 is the first add, of input node 0 and const node 1
+    f = reemit_function(m, 0, {0: {2: (D(("add", IN(0), C(3))), (0,))}})
+    out = replace(m, functions=(f,))
+    assert validate(out) == []
+    for x in (0, 7, -(2**31)):
+        assert invoke(instantiate(out), "run", [x])[0] == invoke(instantiate(m), "run", [x])[0]
+
+
 # --- emission over generated modules ----------------------------------------------------
 
 EMIT_FUEL = 2000  # a generated loop may never exit; the original's run ends here
@@ -390,7 +406,7 @@ def test_reemitted_generated_modules_keep_their_effects(m, rng):
     reps = {}
     for b in blocks:
         dag = D(C(eval_dag(b.dag, ()))) if not b.inputs and rng.random() < 0.5 else b.dag
-        reps[b.id] = [Replacement(b.id, Candidate(dag, 0), "probable", "reduced-width", 1)]
+        reps[b.id] = [Replacement(Candidate(dag, 0), "probable", "reduced-width", 1)]
     s = resolve_overlaps(blocks, reps)
     assume(s.blocks)
     out = apply_plan(m, s, VariantPlan(dict.fromkeys(s.blocks, 0)))

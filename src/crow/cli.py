@@ -120,9 +120,10 @@ _FIELDS = {
 
 def _run_config(args) -> RunConfig:
     """The run configuration from the flags the subcommand takes; fields it
-    takes no flag for keep their defaults."""
+    takes no flag for, or whose flag is unset, keep their defaults."""
     given = vars(args)
-    fields = {field: given[dest] for dest, field in _FIELDS.items() if dest in given}
+    fields = {field: given[dest] for dest, field in _FIELDS.items()
+              if given.get(dest) is not None}
     try:
         if "max_size" in given:  # the synthesis flags
             vocabulary = Vocabulary.parse(args.vocab) if args.vocab else Vocabulary.default()
@@ -156,7 +157,7 @@ def _add_generation(p: argparse.ArgumentParser):
 
 
 def _add_run(p: argparse.ArgumentParser):
-    p.add_argument("--invoke", default="main")
+    p.add_argument("--invoke", help="export to run (default: main)")
     p.add_argument("--args", default="", help="comma-separated i32 arguments")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
 
@@ -228,7 +229,7 @@ def _cmd_trace(args) -> int:
     if args.output:
         _claim_output(args.output)
     try:
-        outcome, trace = trace_module(m, cfg.invoke_name, list(cfg.invoke_args), cfg.fuel)
+        outcome, trace = trace_module(m, cfg)
     except InvokeError as e:
         raise _CliError(EXIT_INPUT, str(e))
     if args.output:
@@ -289,6 +290,9 @@ def _cmd_measure(args) -> int:
 def _cmd_diversify(args) -> int:
     m = _load_module(args.module)
     cfg = _run_config(args)
+    # without --invoke, a module that exports no main diversifies untraced
+    if args.invoke is not None and args.invoke not in m.exports:
+        raise _CliError(EXIT_INPUT, f"unknown export {args.invoke!r}")
     outdir = Path(args.output)
     _claim_output(outdir, directory=True)
     try:

@@ -7,7 +7,10 @@ worker count. Per-block synthesis and per-variant tracing fan out to a
 process pool (a variant travels as its emitted `Module`) and results come back
 in task order, so scheduling cannot reorder anything. Each command extracts
 the module's blocks once and passes them from exploration, or from the store,
-into generation.
+into generation. `diversify` runs CROW's stages in order: it runs the entry
+on the original first, so that an entry it cannot invoke fails before any
+synthesis, then explores, generates and measures each unique variant once,
+and traces the variants.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import __version__, metrics
 from .equiv import TIER_METHODS, CheckerConfig, ConfigError
 from .interp import DEFAULT_FUEL, Outcome, Trace, instantiate, invoke
 from .ir import Dag, DagNode, PureBlock, extract_module_blocks
-from .metrics import TokenSeq, dt_dyn, tokenize
+from .metrics import dt_dyn, tokenize
 from .synth import (
     WORK_UNITS_PER_SECOND,
     BlockSynthesis,
@@ -214,6 +217,8 @@ def replacements_from_store(
             block = by_id.get(entry["id"])
             if block is None:
                 raise StoreMismatchError(f"store references unknown block {entry['id']}")
+            if block.id in out:
+                raise StoreMismatchError(f"store lists block {block.id} twice")
             out[block.id] = [_stored_replacement(block, rep) for rep in entry["replacements"]]
     except StoreMismatchError:
         raise
@@ -225,77 +230,6 @@ def replacements_from_store(
 # --- generation ---------------------------------------------------------------------
 
 RANK_OVERSAMPLE = 4
-
-
-@dataclass
-class StaticMeasure:
-    """`dt_static` and token count of variants against one original, which is
-    tokenized once; each distinct variant text is measured once."""
-
-    original: TokenSeq
-    seen: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-    def __call__(self, v: Variant) -> tuple[int, int]:
-        if v.digest not in self.seen:
-            toks = tokenize(v.module)
-            # `metrics.dtw` is looked up per call, so wrappers of it see the call
-            self.seen[v.digest] = (metrics.dtw(self.original, toks).cost, len(toks))
-        return self.seen[v.digest]
-
-
-@dataclass
-class GenerationResult:
-    resolved: ReplacementSet
-    variants: list[Variant]
-    plans_total: int
-    truncated: bool
-    dropped_duplicates: int
-    static: StaticMeasure  # against the original; holds every ranked variant
-
-
-def generate_variants(
-    m: Module, blocks: list[PureBlock], replacements: dict[str, list[Replacement]],
-    cfg: RunConfig,
-) -> GenerationResult:
-    """Variants of `m` from the replacements of its `blocks`, as extracted
-    by exploration or by `replacements_from_store`."""
-    if cfg.strict:
-        replacements = {
-            bid: [r for r in reps if r.tier == "verified"]
-            for bid, reps in replacements.items()
-        }
-    resolved = resolve_overlaps(blocks, replacements)
-    total = plan_count(resolved)
-    limit = cfg.max_variants * RANK_OVERSAMPLE if cfg.rank_by_diff else cfg.max_variants
-    plans, truncated = enumerate_combinations(resolved, limit=limit, seed=cfg.seed)
-    variants = [make_variant(m, resolved, p) for p in plans]
-    static = StaticMeasure(tokenize(m))
-    if cfg.rank_by_diff:
-        variants.sort(key=lambda v: -static(v)[0])
-        truncated = truncated or len(variants) > cfg.max_variants
-    unique = dedup_variants(variants, taken={print_module(m)})
-    dropped = len(variants) - len(unique)
-    unique = unique[: cfg.max_variants]
-    return GenerationResult(
-        resolved=resolved,
-        variants=unique,
-        plans_total=total,
-        truncated=truncated,
-        dropped_duplicates=dropped,
-        static=static,
-    )
-
-
-# --- tracing & measurement ------------------------------------------------------------
-
-
-def trace_module(
-    m: Module, entry: str, args: list[int], fuel: int = DEFAULT_FUEL
-) -> tuple[Outcome, Trace]:
-    return invoke(instantiate(m, fuel=fuel), entry, args)
-
-
-# --- the full pipeline -----------------------------------------------------------------
 
 
 @dataclass
@@ -313,6 +247,75 @@ class VariantReport:
 
 
 @dataclass
+class GenerationResult:
+    resolved: ReplacementSet
+    reports: list[VariantReport]  # one per unique variant, untraced
+    plans_total: int
+    truncated: bool
+    dropped_duplicates: int
+
+
+def generate_variants(
+    m: Module, blocks: list[PureBlock], replacements: dict[str, list[Replacement]],
+    cfg: RunConfig,
+) -> GenerationResult:
+    """Variants of `m` from the replacements of its `blocks`, as extracted
+    by exploration or by `replacements_from_store`, each measured once.
+    Duplicates share their text, so a stable sort of the unique variants
+    by `dt_static` keeps the order that ranking every copy would give."""
+    if cfg.strict:
+        replacements = {
+            bid: [r for r in reps if r.tier == "verified"]
+            for bid, reps in replacements.items()
+        }
+    resolved = resolve_overlaps(blocks, replacements)
+    total = plan_count(resolved)
+    limit = cfg.max_variants * RANK_OVERSAMPLE if cfg.rank_by_diff else cfg.max_variants
+    plans, truncated = enumerate_combinations(resolved, limit=limit, seed=cfg.seed)
+    variants = [make_variant(m, resolved, p) for p in plans]
+    unique = dedup_variants(variants, taken={print_module(m)})
+    original = tokenize(m)
+    reports = []
+    for v in unique:
+        toks = tokenize(v.module)
+        ratio = len(toks) / max(len(original), 1)
+        chosen = [resolved.replacements[bid][idx] for bid, idx in v.plan.choices.items()]
+        reports.append(VariantReport(
+            variant=v,
+            verified=all(r.tier == "verified" for r in chosen),
+            # `metrics.dtw` is looked up per call, so wrappers of it see the call
+            dt_static=metrics.dtw(original, toks).cost,
+            token_ratio=ratio,
+            size_flag=not (SIZE_ENVELOPE[0] <= ratio <= SIZE_ENVELOPE[1]),
+        ))
+    if cfg.rank_by_diff:
+        reports.sort(key=lambda r: -r.dt_static)
+        truncated = truncated or len(variants) > cfg.max_variants
+    return GenerationResult(
+        resolved=resolved,
+        reports=reports[: cfg.max_variants],
+        plans_total=total,
+        truncated=truncated,
+        dropped_duplicates=len(variants) - len(unique),
+    )
+
+
+# --- tracing & measurement ------------------------------------------------------------
+
+
+def trace_module(m: Module, cfg: RunConfig) -> tuple[Outcome, Trace]:
+    """Runs `cfg`'s entry on `m` with its arguments, under its fuel."""
+    return invoke(instantiate(m, fuel=cfg.fuel), cfg.invoke_name, list(cfg.invoke_args))
+
+
+def _trace_task(args):
+    return trace_module(*args)
+
+
+# --- the full pipeline -----------------------------------------------------------------
+
+
+@dataclass
 class DiversifyResult:
     exploration: list[BlockSynthesis] | None
     generation: GenerationResult
@@ -322,55 +325,33 @@ class DiversifyResult:
     outcome_mismatches: int
 
 
-def _variant_report(gen: GenerationResult, v: Variant) -> VariantReport:
-    chosen = [
-        gen.resolved.replacements[bid][idx] for bid, idx in v.plan.choices.items()
-    ]
-    cost, n_tokens = gen.static(v)
-    ratio = n_tokens / max(len(gen.static.original), 1)
-    return VariantReport(
-        variant=v,
-        verified=all(r.tier == "verified" for r in chosen),
-        dt_static=cost,
-        token_ratio=ratio,
-        size_flag=not (SIZE_ENVELOPE[0] <= ratio <= SIZE_ENVELOPE[1]),
-    )
-
-
-def _trace_task(args):
-    module, entry, invoke_args, fuel = args
-    return trace_module(module, entry, list(invoke_args), fuel)
-
-
 def diversify(m: Module, cfg: RunConfig) -> DiversifyResult:
+    """CROW's workflow in order: runs the entry on the original, when the
+    module exports it, so that a bad entry or argument list fails before
+    any synthesis; explores every block; generates and measures the unique
+    variants; and traces them."""
+    original = trace_module(m, cfg) if cfg.invoke_name in m.exports else None
     exploration = explore_module(m, cfg)
     blocks = [r.block for r in exploration]
     replacements = {r.block.id: r.replacements for r in exploration}
-    return report_variants(m, blocks, replacements, cfg, do_trace=True, exploration=exploration)
+    return report_variants(m, blocks, replacements, cfg, original, exploration)
 
 
 def report_variants(
     m: Module, blocks: list[PureBlock], replacements: dict[str, list[Replacement]],
-    cfg: RunConfig, do_trace: bool = False,
+    cfg: RunConfig, original: tuple[Outcome, Trace] | None = None,
     exploration: list[BlockSynthesis] | None = None,
 ) -> DiversifyResult:
-    """Generates the variants and reports on each one. With `do_trace`, runs
-    the entry on the original and every variant (each traced from its
-    emitted `Module`) and drops variants whose outcome differs.
+    """Generates the variants and reports on each one. Given the original's
+    `(outcome, trace)`, also runs the entry on every variant (each traced
+    from its emitted `Module`) and drops variants whose outcome differs.
     `exploration` is None when the replacements come from a store."""
     gen = generate_variants(m, blocks, replacements, cfg)
-    reports = [_variant_report(gen, v) for v in gen.variants]
-
-    original_outcome = None
-    original_trace = None
+    reports = gen.reports
+    original_outcome, original_trace = original or (None, None)
     mismatches = 0
-    if do_trace and cfg.invoke_name in m.exports:
-        original_outcome, original_trace = trace_module(
-            m, cfg.invoke_name, list(cfg.invoke_args), cfg.fuel
-        )
-        tasks = [
-            (r.variant.module, cfg.invoke_name, cfg.invoke_args, cfg.fuel) for r in reports
-        ]
+    if original is not None:
+        tasks = [(r.variant.module, cfg) for r in reports]
         traced = _fan_out(_trace_task, tasks, cfg.jobs)
         kept = []
         for report, (outcome, trace) in zip(reports, traced):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import crow.cli
+import crow.pipeline
 from crow import corpus
 from crow.cli import main
 from crow.interp import read_trace
@@ -124,6 +125,14 @@ def _edit_first_node(kind, key, value):
     return edit
 
 
+def _list_a_block_twice(store):
+    """Store edit: appends a copy, without replacements, of the first block
+    that has some."""
+    block = next(block for block in store["blocks"] if block["replacements"])
+    store["blocks"].append({**block, "replacements": []})
+    return store
+
+
 def _edit_first_replacement(**fields):
     """Store edit: overwrites `fields` of the first stored replacement."""
     def edit(store):
@@ -149,10 +158,11 @@ def _edit_first_replacement(**fields):
     _edit_first_replacement(enum_index=True),
     _edit_first_replacement(emitted_len=2.0),
     _edit_first_replacement(emitted_len=None),
+    _list_a_block_twice,
 ], ids=["no-blocks", "top-level-list", "unknown-op", "input-out-of-range", "const-not-i32",
         "tier-null", "tier-rejected", "method-unknown", "verified-reduced-width",
         "probable-exhaustive", "probable-smt", "enum-index-str", "enum-index-bool",
-        "emitted-len-float", "emitted-len-null"])
+        "emitted-len-float", "emitted-len-null", "block-listed-twice"])
 def test_generate_rejects_malformed_store(tmp_path, module_file, capsys, edit):
     store = tmp_path / "store.json"
     assert main(["explore", str(module_file), "-o", str(store), *EXPLORE_SMALL]) == 0
@@ -441,6 +451,37 @@ def test_diversify_non_diversifiable_module(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["variants"] == []
     assert manifest["exploration"]["blocks_found"] == 0
+
+
+ONE_PARAM_MAIN = ('(module (func (param i32) (result i32) local.get 0 i32.const 1 i32.add)'
+                  ' (export "main" (func 0)))')
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "'main' takes 1 argument(s), got 0"),
+    (["--invoke", "nosuch"], "unknown export 'nosuch'"),
+], ids=["missing-args", "unknown-export"])
+def test_diversify_rejects_a_bad_entry_before_exploring(tmp_path, monkeypatch, capsys,
+                                                         argv, message):
+    p = tmp_path / "one.wat"
+    p.write_text(ONE_PARAM_MAIN)
+    monkeypatch.setattr(crow.pipeline, "explore_module",
+                        lambda *a: pytest.fail("explored before the entry was checked"))
+    assert main(["diversify", str(p), "-o", str(tmp_path / "out"), *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_diversify_without_main_runs_untraced(tmp_path, mul_add_text):
+    """Without --invoke, a module that exports no main still diversifies,
+    and nothing is traced."""
+    p = tmp_path / "entry.wat"
+    p.write_text(mul_add_text.replace('"main"', '"entry"'))
+    outdir = tmp_path / "out"
+    assert main(["diversify", str(p), "-o", str(outdir), *SMALL]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["variants"]
+    assert not any("outcome" in entry for entry in manifest["variants"])
+    assert not (outdir / "traces").exists()
 
 
 def test_run_corpus_matches_diversify(tmp_path):

@@ -16,7 +16,9 @@ from crow.pipeline import (
     generate_variants,
     replacements_from_store,
     store_to_json,
+    trace_module,
 )
+from crow.ir import extract_module_blocks
 from crow.synth import WORK_UNITS_PER_SECOND, ConfigError, SynthesisConfig
 from crow.wat import parse_module
 
@@ -104,8 +106,8 @@ def test_strict_mode_keeps_only_verified(mul_add_module):
 
     strict_cfg = dataclasses.replace(FAST, strict=True)
     gen = generate_variants(mul_add_module, blocks, replacements, strict_cfg)
-    for v in gen.variants:
-        for bid, idx in v.plan.choices.items():
+    for r in gen.reports:
+        for bid, idx in r.variant.plan.choices.items():
             assert gen.resolved.replacements[bid][idx].tier == "verified"
 
 
@@ -117,9 +119,9 @@ def test_rank_by_diff_orders_descending(mul_add_module):
     gen = generate_variants(mul_add_module, blocks, replacements, cfg)
     from crow.metrics import dt_static
 
-    costs = [dt_static(mul_add_module, v.module) for v in gen.variants]
+    costs = [dt_static(mul_add_module, r.variant.module) for r in gen.reports]
     assert costs == sorted(costs, reverse=True)
-    assert len(gen.variants) <= 6
+    assert len(gen.reports) <= 6
 
 
 def test_diversify_reports_are_conserved(mul_add_module):
@@ -156,7 +158,8 @@ def test_report_variants_runs_one_dtw_of_each_kind_per_variant(mul_add_module, m
 
     blocks, replacements = _explored(mul_add_module)
     calls = _count_dtw_calls(monkeypatch)
-    result = report_variants(mul_add_module, blocks, replacements, FAST, do_trace=True)
+    result = report_variants(mul_add_module, blocks, replacements, FAST,
+                             trace_module(mul_add_module, FAST))
     assert result.reports and result.outcome_mismatches == 0
     assert calls == {"static": len(result.reports), "dynamic": len(result.reports)}
     n = len(result.original_trace)
@@ -177,11 +180,45 @@ def test_rank_by_diff_measures_each_variant_once(mul_add_module, monkeypatch):
     assert ranking["static"] > 0 and ranking["dynamic"] == 0
     result = report_variants(mul_add_module, blocks, replacements, cfg)
     assert calls["static"] == 2 * ranking["static"]
-    assert [r.variant.digest for r in result.reports] == [v.digest for v in ranked.variants]
+    assert [r.variant.digest for r in result.reports] == [
+        r.variant.digest for r in ranked.reports]
     from crow.metrics import dt_static
 
     for rep in result.reports:
         assert rep.dt_static == dt_static(mul_add_module, rep.variant.module)
+
+
+def test_rank_by_diff_with_duplicate_variants_matches_ranking_every_copy(mul_add_module):
+    """Two equal candidates per block make twin variants. Generation keeps
+    the order of a reference that sorts every variant by `dt_static`,
+    stably, then drops texts seen before or equal to the original's."""
+    from crow.metrics import dt_static
+    from crow.synth import Candidate, Replacement
+    from crow.variants import enumerate_combinations, make_variant
+    from crow.wat import print_module
+
+    from test_variants import fake_replacement
+
+    wide = Replacement(Candidate(D(("add", C(1), C(2))), 2), "probable", "reduced-width", 3)
+    blocks = extract_module_blocks(mul_add_module)
+    replacements = {b.id: [fake_replacement(1), fake_replacement(1), wide] for b in blocks}
+    cfg = dataclasses.replace(FAST, rank_by_diff=True, max_variants=3)
+    gen = generate_variants(mul_add_module, blocks, replacements, cfg)
+
+    limit = cfg.max_variants * pipeline.RANK_OVERSAMPLE
+    plans, _ = enumerate_combinations(gen.resolved, limit=limit, seed=cfg.seed)
+    variants = [make_variant(mul_add_module, gen.resolved, p) for p in plans]
+    variants.sort(key=lambda v: -dt_static(mul_add_module, v.module))
+    seen, want = {print_module(mul_add_module)}, []
+    for v in variants:
+        if v.text not in seen:
+            seen.add(v.text)
+            want.append(v.digest)
+    assert gen.dropped_duplicates == len(variants) - len(want) > 0
+    assert gen.truncated
+    assert [r.variant.digest for r in gen.reports] == want[: cfg.max_variants]
+    assert [r.dt_static for r in gen.reports] == [
+        dt_static(mul_add_module, r.variant.module) for r in gen.reports]
 
 
 def test_variants_are_traced_from_modules_equal_to_their_text(mul_add_module):

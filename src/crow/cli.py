@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .equiv import SOLVER_ENV, CheckerConfig, ConfigError
 from .interp import DEFAULT_FUEL, InvokeError, TraceFormatError, read_trace, write_trace
-from .metrics import dt_dyn, dtw, tokenize
+from .metrics import dtw, tokenize, trace_tokens
 from .pipeline import (
     DiversifyResult,
     RunConfig,
@@ -253,20 +253,20 @@ def _read_trace_file(path: str):
 
 
 def _measure_pair(kind: str, left: str, right: str, a, b, normalize: bool) -> str:
-    """One row for the files `left` and `right`, loaded as `a` and `b`
-    (instruction tokens or traces)."""
-    if kind == "static":
-        return f"{left}\t{right}\tstatic\t{dtw(a, b).cost}"
-    cost = dt_dyn(a, b)
-    row = f"{left}\t{right}\tdynamic\t{cost}"
+    """One row for the files `left` and `right`, loaded as the code arrays
+    `a` and `b`."""
+    cost = dtw(a, b).cost
+    row = f"{left}\t{right}\t{kind}\t{cost}"
     if normalize:
-        if not a:
+        if len(a) == 0:
             raise _CliError(EXIT_INPUT, f"{left}: empty trace cannot normalize")
         row += f"\t{cost / len(a):.6f}"
     return row
 
 
 def _cmd_measure(args) -> int:
+    if args.normalize and args.kind == "static":
+        raise _CliError(EXIT_CONFIG, "--normalize is for dynamic traces")
     if args.right is None:
         root = Path(args.left)
         if not root.is_dir():
@@ -278,12 +278,13 @@ def _cmd_measure(args) -> int:
     if args.kind == "static":
         loaded = [tokenize(_load_module(path)) for path in files]
     else:
-        loaded = [_read_trace_file(path)[0] for path in files]
+        loaded = [trace_tokens(_read_trace_file(path)[0]) for path in files]
     rows = [
         _measure_pair(args.kind, files[i], files[j], loaded[i], loaded[j], args.normalize)
         for i in range(len(files)) for j in range(i + 1, len(files))
     ]
-    print("\n".join(rows))
+    for row in rows:
+        print(row)
     return EXIT_OK
 
 

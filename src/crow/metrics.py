@@ -6,9 +6,10 @@ run-length stretching. The recurrence is the classic
 D(i,j) = d(i,j) + min(D(i-1,j), D(i,j-1), D(i-1,j-1)) with D(0,0) = 0 and
 infinite borders; one empty sequence costs the other's length.
 
-Instruction tokens are strings, encoded to integer ids per call. A trace
-event is the integer code 2*value + (kind == "push"), so two codes are equal
-exactly when kind and value are; `dtw` takes such code arrays as they are.
+Both sequences are int64 code arrays, equal exactly where the items are. An
+instruction's code is immediate * len(INSTRUCTIONS) + the position of its
+mnemonic in INSTRUCTIONS (no immediate counts as 0); a trace event's is
+2*value + (kind == "push").
 
 The implementation vectorizes each DP row: with prefix sums S of the row's
 costs, D(i,j) = S(j) + min_{k<=j} (min(D(i-1,k), D(i-1,k-1)) - S(k-1)),
@@ -26,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interp import Trace
-from .wat import Module
+from .wat import INSTRUCTIONS, Module
 
-TokenSeq = list[str]
-Codes = np.ndarray  # int64, one per trace event
+Codes = np.ndarray  # int64, one per instruction or trace event
+
+_POSITION = {mnemonic: i for i, mnemonic in enumerate(INSTRUCTIONS)}
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,17 @@ class DtwResult:
     len_b: int
 
 
-def tokenize(m: Module) -> TokenSeq:
-    """Instruction tokens (`mnemonic[ immediate]`) over functions in index
-    order, including structure tokens."""
-    return [str(ins) for f in m.functions for ins in f.body]
+def tokenize(m: Module) -> Codes:
+    """The instruction codes over functions in index order, structure
+    instructions included. The mnemonic fixes whether there is an immediate
+    and the position is below the radix, so equal codes mean equal `str(ins)`;
+    a code outside int64 raises OverflowError rather than collide."""
+    radix = len(INSTRUCTIONS)
+    return np.array(
+        [(ins.immediate or 0) * radix + _POSITION[ins.mnemonic]
+         for f in m.functions for ins in f.body],
+        dtype=np.int64,
+    )
 
 
 def trace_tokens(trace: Trace) -> Codes:
@@ -51,26 +60,16 @@ def trace_tokens(trace: Trace) -> Codes:
     return np.frombuffer(trace.codes, dtype=np.int64)
 
 
-def _encode(a: TokenSeq | Codes, b: TokenSeq | Codes) -> tuple[Codes, Codes]:
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return a, b
-    ids: dict[str, int] = {}
-    enc = lambda seq: np.array([ids.setdefault(t, len(ids)) for t in seq], dtype=np.int64)
-    return enc(a), enc(b)
-
-
 def cell_dtype(n: int, m: int) -> type:
     """The narrowest integer type that holds every DP value of an n x m DTW."""
     return np.int32 if n + m < 2**31 else np.int64
 
 
-def dtw(a: TokenSeq | Codes, b: TokenSeq | Codes) -> DtwResult:
+def dtw(a: Codes, b: Codes) -> DtwResult:
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return DtwResult(cost=max(n, m), len_a=n, len_b=m)
-    rows, cols = _encode(a, b)
-    if len(rows) > len(cols):  # fewer, longer rows; cost is symmetric
-        rows, cols = cols, rows
+    rows, cols = (a, b) if n <= m else (b, a)  # fewer, longer rows; cost is symmetric
     width, inf = len(cols), n + m
     dt = cell_dtype(n, m)
     prev = np.full(width + 1, inf, dtype=dt)  # D(i-1, 0..width)
@@ -87,12 +86,6 @@ def dtw(a: TokenSeq | Codes, b: TokenSeq | Codes) -> DtwResult:
         np.add(s_j, t, out=up)
         prev[0] = inf  # D(i, 0) for i >= 1
     return DtwResult(cost=int(prev[width]), len_a=n, len_b=m)
-
-
-def dt_static(m1: Module, m2: Module) -> int:
-    """DTW cost between the instruction streams of two modules; 0 iff the
-    streams are identical up to run collapsing."""
-    return dtw(tokenize(m1), tokenize(m2)).cost
 
 
 def dt_dyn(t1: Trace, t2: Trace) -> int:

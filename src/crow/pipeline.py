@@ -85,10 +85,11 @@ class RunConfig:
 
 
 def _fan_out(fn, tasks: list, jobs: int) -> list:
-    """`fn` over `tasks`, results in task order: on a pool of `jobs` worker
-    processes when there is more than one of each, else in this process."""
+    """`fn` over `tasks`, results in task order: on a pool of at most `jobs`
+    worker processes, one per task, when there is more than one of each, else
+    in this process."""
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 

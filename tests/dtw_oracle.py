@@ -5,9 +5,16 @@ is a separately-derived anti-diagonal vectorization kept for pairs too large
 for the pure-Python oracle; both compute the same recurrence:
 D(i,j) = [a_i != b_j] + min(D(i-1,j), D(i,j-1), D(i-1,j-1)), D(0,0) = 0,
 infinite borders, empty-vs-x = len(x).
+
+`codes` turns a character sequence into the int64 code array `dtw` reads.
 """
 
 import numpy as np
+
+
+def codes(seq) -> np.ndarray:
+    """One int64 code per character, equal exactly where the characters are."""
+    return np.array([ord(c) for c in seq], dtype=np.int64)
 
 
 def dtw_reference(a, b) -> int:

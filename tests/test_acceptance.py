@@ -13,13 +13,13 @@ from crow import corpus
 from crow.cli import main
 from crow.equiv import CheckerConfig, check, eval_dag
 from crow.ir import _reachable_key
-from crow.metrics import dt_static, dtw, tokenize
+from crow.metrics import dtw, tokenize
 from crow.pipeline import RunConfig, explore_module
 from crow.wat import parse_module
 
 from conftest import MUL_ADD_TEXT
 from dagutil import C, D, IN, block_of
-from dtw_oracle import dtw_diagonal, dtw_reference
+from dtw_oracle import codes, dtw_diagonal, dtw_reference
 
 
 def report(criterion: int, detail: str):
@@ -45,7 +45,7 @@ def test_criterion_1_running_example(tmp_path):
     assert any("i32.shl" in t for t in texts), "no shift-based variant"
 
     def has_double_add(text):
-        toks = tokenize(parse_module(text))
+        toks = [str(ins) for f in parse_module(text).functions for ins in f.body]
         return any(
             toks[i] == "local.get 0" and toks[i + 1] == "local.get 0" and toks[i + 2] == "i32.add"
             for i in range(len(toks) - 2)
@@ -214,7 +214,7 @@ def test_criterion_5_static_diversity(corpus_runs):
         texts = [r.variant.text for r in run.result.reports]
         assert len(set(texts)) == len(texts), f"{run.name}: duplicate variant text"
         for rep in run.result.reports:
-            recomputed = dt_static(run.module, parse_module(rep.variant.text))
+            recomputed = dtw(tokenize(run.module), tokenize(parse_module(rep.variant.text))).cost
             assert recomputed == rep.dt_static
             assert recomputed > 0, f"{run.name}: variant statically identical"
             total += 1
@@ -305,14 +305,14 @@ def test_criterion_8_dtw_oracle():
     for _ in range(samples):
         a = seqs[rng.randrange(len(seqs))]
         b = seqs[rng.randrange(len(seqs))]
-        got = dtw(a, b).cost
+        got = dtw(codes(a), codes(b)).cost
         assert got == dtw_reference(a, b), (a, b)
         assert (got == 0) == (collapse(a) == collapse(b)), (a, b)
 
     small = [list(s) for k in range(5) for s in itertools.product("ABC", repeat=k)]
     for a in small:
         for b in small:
-            got = dtw(a, b).cost
+            got = dtw(codes(a), codes(b)).cost
             assert got == dtw_reference(a, b)
             assert (got == 0) == (collapse(a) == collapse(b))
 
@@ -320,7 +320,7 @@ def test_criterion_8_dtw_oracle():
         rng2 = random.Random(1000 + i)
         a = [rng2.choice("ABCDEF") for _ in range(10_000)]
         b = [rng2.choice("ABCDEF") for _ in range(10_000)]
-        assert dtw(a, b).cost == dtw_diagonal(a, b)
+        assert dtw(codes(a), codes(b)).cost == dtw_diagonal(a, b)
     elapsed = time.perf_counter() - t0
     report(
         8,

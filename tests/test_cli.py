@@ -10,7 +10,7 @@ import crow.pipeline
 from crow import corpus
 from crow.cli import main
 from crow.interp import read_trace
-from crow.metrics import dt_static
+from crow.metrics import dtw, tokenize
 from crow.wat import parse_module, validate
 
 # small-run flags of each subcommand: explore takes the synthesis ones,
@@ -339,6 +339,23 @@ def test_measure_dynamic_normalized(tmp_path, module_file, capsys):
     assert float(cols[4]) == pytest.approx(int(cols[3]) / 13, abs=1e-6)
 
 
+def test_measure_static_rejects_normalize(module_file, capsys):
+    assert main(["measure", "static", str(module_file), str(module_file), "--normalize"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--normalize is for dynamic traces" in captured.err
+
+
+@pytest.mark.parametrize("kind,suffix", [("static", ".wat"), ("dynamic", ".trace")])
+def test_measure_directory_of_fewer_than_two_files_prints_no_rows(tmp_path, mul_add_text,
+                                                                   capsys, kind, suffix):
+    assert main(["measure", kind, str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ""
+    text = mul_add_text if kind == "static" else "# crow-trace v1 entry=main\nresult 1\n"
+    (tmp_path / f"only{suffix}").write_text(text)
+    assert main(["measure", kind, str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_measure_directory_pairwise(tmp_path, capsys):
     for i in range(4):
         (tmp_path / f"t{i}.trace").write_text(
@@ -381,7 +398,8 @@ def test_measure_static_tokenizes_each_file_once(tmp_path, mul_add_text, monkeyp
     # each row is the manifest's static distance between the two modules
     modules = [crow.cli._load_module(str(tmp_path / f"m{i}.wat")) for i in range(4)]
     assert [int(r.split("\t")[3]) for r in rows] == [
-        dt_static(modules[i], modules[j]) for i in range(4) for j in range(i + 1, 4)
+        dtw(tokenize(modules[i]), tokenize(modules[j])).cost
+        for i in range(4) for j in range(i + 1, 4)
     ]
 
 

@@ -111,15 +111,38 @@ def test_strict_mode_keeps_only_verified(mul_add_module):
             assert gen.resolved.replacements[bid][idx].tier == "verified"
 
 
+def test_fan_out_starts_no_more_workers_than_tasks(monkeypatch):
+    """The fake executor maps in this process and records the pool size it
+    was asked for, so no worker process starts."""
+    sizes = []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessExecutor)
+    assert pipeline._fan_out(abs, [-1, -2], jobs=64) == [1, 2]
+    assert sizes == [2]
+
+
 def test_rank_by_diff_orders_descending(mul_add_module):
     import dataclasses
 
     cfg = dataclasses.replace(FAST, rank_by_diff=True, max_variants=6)
     blocks, replacements = _explored(mul_add_module)
     gen = generate_variants(mul_add_module, blocks, replacements, cfg)
-    from crow.metrics import dt_static
+    from crow.metrics import dtw, tokenize
 
-    costs = [dt_static(mul_add_module, r.variant.module) for r in gen.reports]
+    costs = [dtw(tokenize(mul_add_module), tokenize(r.variant.module)).cost for r in gen.reports]
     assert costs == sorted(costs, reverse=True)
     assert len(gen.reports) <= 6
 
@@ -136,20 +159,27 @@ def test_diversify_reports_are_conserved(mul_add_module):
 
 
 def _count_dtw_calls(monkeypatch):
-    """Wraps `crow.metrics.dtw`, counting static (token list) and dynamic
-    (event code array) calls."""
-    import numpy as np
-
+    """Wraps `crow.metrics.dtw`, counting dynamic calls (those made inside
+    `dt_dyn`) and static ones (all others)."""
     import crow.metrics
 
     calls = {"static": 0, "dynamic": 0}
-    real = crow.metrics.dtw
+    in_dyn = []
+    real_dtw, real_dyn = crow.metrics.dtw, pipeline.dt_dyn
 
     def counted(a, b):
-        calls["dynamic" if isinstance(a, np.ndarray) else "static"] += 1
-        return real(a, b)
+        calls["dynamic" if in_dyn else "static"] += 1
+        return real_dtw(a, b)
+
+    def dyn(t1, t2):
+        in_dyn.append(True)
+        try:
+            return real_dyn(t1, t2)
+        finally:
+            in_dyn.pop()
 
     monkeypatch.setattr(crow.metrics, "dtw", counted)
+    monkeypatch.setattr(pipeline, "dt_dyn", dyn)
     return calls
 
 
@@ -182,17 +212,17 @@ def test_rank_by_diff_measures_each_variant_once(mul_add_module, monkeypatch):
     assert calls["static"] == 2 * ranking["static"]
     assert [r.variant.digest for r in result.reports] == [
         r.variant.digest for r in ranked.reports]
-    from crow.metrics import dt_static
+    from crow.metrics import dtw, tokenize
 
     for rep in result.reports:
-        assert rep.dt_static == dt_static(mul_add_module, rep.variant.module)
+        assert rep.dt_static == dtw(tokenize(mul_add_module), tokenize(rep.variant.module)).cost
 
 
 def test_rank_by_diff_with_duplicate_variants_matches_ranking_every_copy(mul_add_module):
     """Two equal candidates per block make twin variants. Generation keeps
     the order of a reference that sorts every variant by `dt_static`,
     stably, then drops texts seen before or equal to the original's."""
-    from crow.metrics import dt_static
+    from crow.metrics import dtw, tokenize
     from crow.synth import Candidate, Replacement
     from crow.variants import enumerate_combinations, make_variant
     from crow.wat import print_module
@@ -208,7 +238,9 @@ def test_rank_by_diff_with_duplicate_variants_matches_ranking_every_copy(mul_add
     limit = cfg.max_variants * pipeline.RANK_OVERSAMPLE
     plans, _ = enumerate_combinations(gen.resolved, limit=limit, seed=cfg.seed)
     variants = [make_variant(mul_add_module, gen.resolved, p) for p in plans]
-    variants.sort(key=lambda v: -dt_static(mul_add_module, v.module))
+    original = tokenize(mul_add_module)
+    dt_static = lambda m: dtw(original, tokenize(m)).cost
+    variants.sort(key=lambda v: -dt_static(v.module))
     seen, want = {print_module(mul_add_module)}, []
     for v in variants:
         if v.text not in seen:
@@ -218,7 +250,7 @@ def test_rank_by_diff_with_duplicate_variants_matches_ranking_every_copy(mul_add
     assert gen.truncated
     assert [r.variant.digest for r in gen.reports] == want[: cfg.max_variants]
     assert [r.dt_static for r in gen.reports] == [
-        dt_static(mul_add_module, r.variant.module) for r in gen.reports]
+        dt_static(r.variant.module) for r in gen.reports]
 
 
 def test_variants_are_traced_from_modules_equal_to_their_text(mul_add_module):

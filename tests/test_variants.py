@@ -10,7 +10,7 @@ from crow.emit import emit_dag, reemit_function
 from crow.equiv import CheckerConfig, eval_dag
 from crow.interp import instantiate, invoke
 from crow.ir import PURE_OPS, PureBlock, extract_module_blocks
-from crow.metrics import dt_static
+from crow.metrics import dtw, tokenize
 from crow.synth import (
     WORK_UNITS_PER_SECOND, Candidate, Replacement, SynthesisConfig, Vocabulary,
     synthesize_replacements,
@@ -234,7 +234,8 @@ def test_dedup_collapses_identical_text(mul_add_module):
     texts = [v.text for v in unique]
     assert len(texts) == len(set(texts))
     assert all(t != print_module(mul_add_module) for t in texts)
-    assert all(dt_static(mul_add_module, v.module) > 0 for v in unique)
+    original = tokenize(mul_add_module)
+    assert all(dtw(original, tokenize(v.module)).cost > 0 for v in unique)
 
 
 def test_dedup_identical_modules_single_survivor(mul_add_module):

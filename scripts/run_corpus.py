@@ -41,19 +41,17 @@ def summarize(name, result):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="corpus-results")
-    parser.add_argument("--timeout-secs", type=float, default=60.0)
-    parser.add_argument("--max-variants", type=int, default=256)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--timeout-secs", type=float)
+    parser.add_argument("--max-variants", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--jobs", type=int)
     parser.add_argument("--only", default="", help="comma-separated program names")
     args = parser.parse_args(argv)
+    # unset flags keep RunConfig's defaults, the ones `crow diversify` uses
+    flags = {"timeout_seconds": args.timeout_secs, "max_variants": args.max_variants,
+             "seed": args.seed, "jobs": args.jobs}
     try:
-        cfg = RunConfig(
-            max_variants=args.max_variants,
-            timeout_seconds=args.timeout_secs,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
+        cfg = RunConfig(**{field: v for field, v in flags.items() if v is not None})
     except ConfigError as e:
         parser.error(str(e))
 

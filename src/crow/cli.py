@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .equiv import SOLVER_ENV, CheckerConfig, ConfigError
-from .interp import DEFAULT_FUEL, InvokeError, TraceFormatError, read_trace, write_trace
+from .interp import InvokeError, TraceFormatError, read_trace, write_trace
 from .metrics import dtw, tokenize, trace_tokens
 from .pipeline import (
     DiversifyResult,
@@ -105,11 +105,6 @@ def _parse_args_list(text: str) -> list[int]:
     return values
 
 
-def _solver_cmd(args) -> tuple[str, ...]:
-    raw = args.solver_cmd or os.environ.get(SOLVER_ENV, "")
-    return tuple(shlex.split(raw)) if raw else ()
-
-
 # flag dest -> the RunConfig field it sets as it is
 _FIELDS = {
     "seed": "seed", "jobs": "jobs", "timeout_secs": "timeout_seconds",
@@ -117,49 +112,53 @@ _FIELDS = {
     "invoke": "invoke_name", "fuel": "fuel",
 }
 
+_CHECKER_MODES = {"exhaustive": "exhaustive-only", "probable": "probable-ok", "smt": "smt"}
+
 
 def _run_config(args) -> RunConfig:
-    """The run configuration from the flags the subcommand takes; fields it
-    takes no flag for, or whose flag is unset, keep their defaults."""
-    given = vars(args)
-    fields = {field: given[dest] for dest, field in _FIELDS.items()
-              if given.get(dest) is not None}
+    """The run configuration from the flags that were given. Every flag
+    defaults to None, so a field whose flag is unset, or that the
+    subcommand takes no flag for, keeps its dataclass default."""
+    given = {dest: v for dest, v in vars(args).items() if v is not None}
+    fields = {field: given[dest] for dest, field in _FIELDS.items() if dest in given}
     try:
-        if "max_size" in given:  # the synthesis flags
-            vocabulary = Vocabulary.parse(args.vocab) if args.vocab else Vocabulary.default()
-            fields["synthesis"] = SynthesisConfig(max_size=args.max_size, vocabulary=vocabulary)
-            fields["checker"] = CheckerConfig(
-                mode={"exhaustive": "exhaustive-only", "probable": "probable-ok", "smt": "smt"}[
-                    args.checker
-                ],
-                solver_cmd=_solver_cmd(args),
-            )
+        if "max_size" in vars(args):  # the synthesis flags
+            synthesis = {"max_size": given["max_size"]} if "max_size" in given else {}
+            if args.vocab:  # an empty --vocab keeps the default vocabulary
+                synthesis["vocabulary"] = Vocabulary.parse(args.vocab)
+            checker = {"mode": _CHECKER_MODES[given["checker"]]} if "checker" in given else {}
+            solver_cmd = args.solver_cmd or os.environ.get(SOLVER_ENV)
+            if solver_cmd:
+                checker["solver_cmd"] = tuple(shlex.split(solver_cmd))
+            fields["synthesis"] = SynthesisConfig(**synthesis)
+            fields["checker"] = CheckerConfig(**checker)
         if "args" in given:
-            fields["invoke_args"] = tuple(_parse_args_list(args.args))
+            fields["invoke_args"] = tuple(_parse_args_list(given["args"]))
         return RunConfig(**fields)
     except ConfigError as e:
         raise _CliError(EXIT_CONFIG, str(e))
 
 
 def _add_synthesis(p: argparse.ArgumentParser):
-    p.add_argument("--timeout-secs", type=float, default=60.0)
-    p.add_argument("--max-size", type=int, default=3, help="max ops per candidate")
-    p.add_argument("--vocab", default="", help="comma-separated candidate ops")
-    p.add_argument("--checker", choices=["exhaustive", "probable", "smt"], default="probable")
-    p.add_argument("--solver-cmd", default="", help=f"SMT solver argv (or ${SOLVER_ENV})")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--timeout-secs", type=float)
+    p.add_argument("--max-size", type=int, help="max ops per candidate")
+    p.add_argument("--vocab", help="comma-separated candidate ops")
+    p.add_argument("--checker", choices=list(_CHECKER_MODES))
+    p.add_argument("--solver-cmd", help=f"SMT solver argv (or ${SOLVER_ENV})")
+    p.add_argument("--jobs", type=int)
 
 
 def _add_generation(p: argparse.ArgumentParser):
-    p.add_argument("--max-variants", type=int, default=256)
-    p.add_argument("--rank-by-diff", action="store_true")
-    p.add_argument("--strict", action="store_true", help="use only verified replacements")
+    p.add_argument("--max-variants", type=int)
+    p.add_argument("--rank-by-diff", action="store_true", default=None)
+    p.add_argument("--strict", action="store_true", default=None,
+                   help="use only verified replacements")
 
 
 def _add_run(p: argparse.ArgumentParser):
     p.add_argument("--invoke", help="export to run (default: main)")
-    p.add_argument("--args", default="", help="comma-separated i32 arguments")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--args", help="comma-separated i32 arguments")
+    p.add_argument("--fuel", type=int)
 
 
 def _cmd_explore(args) -> int:
@@ -318,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="synthesize replacements for all pure blocks")
     p.add_argument("module")
     p.add_argument("-o", "--output", default="replacements.json")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     _add_synthesis(p)
     p.set_defaults(fn=_cmd_explore)
 
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module")
     p.add_argument("store")
     p.add_argument("-o", "--output", default="variants")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     _add_generation(p)
     p.set_defaults(fn=_cmd_generate)
 
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diversify", help="explore, generate, trace, and measure")
     p.add_argument("module")
     p.add_argument("-o", "--output", default="diversified")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     _add_synthesis(p)
     _add_generation(p)
     _add_run(p)

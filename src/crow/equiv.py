@@ -29,6 +29,12 @@ from .ir import (
 # Max evaluations per exhaustive sweep.
 EXHAUSTIVE_BUDGET = 2**26
 
+# Fixed settings: no flag sets them and the store does not record them, so
+# they change only with the tool version.
+REDUCED_WIDTHS = (4, 8)  # swept exhaustively when they fit, in this order
+SAMPLES = 100_000  # seeded random width-32 samples per unsound check
+SOLVER_TIMEOUT = 5.0  # seconds per solver call
+
 TIER_VERIFIED = "verified"
 TIER_PROBABLE = "probable"
 TIER_REJECTED = "rejected"
@@ -59,10 +65,7 @@ class Verdict:
 @dataclass(frozen=True)
 class CheckerConfig:
     mode: str = "probable-ok"  # 'exhaustive-only' | 'probable-ok' | 'smt'
-    widths: tuple[int, ...] = (4, 8)
-    samples: int = 100_000
     solver_cmd: tuple[str, ...] = ()
-    solver_timeout: float = 5.0
 
     def __post_init__(self):
         errs = []
@@ -70,10 +73,6 @@ class CheckerConfig:
             errs.append(f"unknown checker mode {self.mode!r}")
         if self.mode == "smt" and not self.solver_cmd:
             errs.append(f"--checker smt needs --solver-cmd or ${SOLVER_ENV}")
-        if any(not 2 <= w <= 32 for w in self.widths):
-            errs.append("reduced widths must lie in 2..32")
-        if self.samples < 0:
-            errs.append("sample count must be >= 0")
         if errs:
             raise ConfigError("; ".join(errs))
 
@@ -288,7 +287,7 @@ def check(b: PureBlock, c: Dag, cfg: CheckerConfig, seed: int) -> Verdict:
     # Sound path 2: external solver.
     if cfg.mode == "smt":
         script = emit_smtlib(b.dag, c, n)
-        answer, out = run_solver(cfg.solver_cmd, script, cfg.solver_timeout)
+        answer, out = run_solver(cfg.solver_cmd, script, SOLVER_TIMEOUT)
         if answer == "unsat":
             return Verdict(TIER_VERIFIED, "smt", evals=evals)
         if answer == "sat":
@@ -303,7 +302,7 @@ def check(b: PureBlock, c: Dag, cfg: CheckerConfig, seed: int) -> Verdict:
         raise InfeasibleDomainError(f"{n} inputs at 32 bits exceed budget {EXHAUSTIVE_BUDGET}")
 
     # Unsound evidence: reduced-width sweeps, then width-32 samples.
-    for w in sorted(cfg.widths):
+    for w in REDUCED_WIDTHS:
         if (1 << (n * w)) > EXHAUSTIVE_BUDGET:
             continue
         verdict, ev, discarded = exhaustive_check(b.dag, c, n, w)
@@ -314,15 +313,13 @@ def check(b: PureBlock, c: Dag, cfg: CheckerConfig, seed: int) -> Verdict:
             return Verdict(TIER_REJECTED, "reduced-width", verdict.counterexample,
                            evals, "; ".join(notes) or None)
 
-    if cfg.samples:
-        env = random_vectors(n, cfg.samples, _stable_seed(seed, b.dag.key(), c.key()))
-        lv = batch_eval(b.dag, env, 32)
-        rv = batch_eval(c, env, 32)
-        evals += cfg.samples
-        bad = np.nonzero(lv != rv)[0]
-        if bad.size:
-            cex = tuple(int(e[bad[0]]) for e in env)
-            return Verdict(TIER_REJECTED, "reduced-width", cex, evals,
-                           "; ".join(notes) or None)
+    env = random_vectors(n, SAMPLES, _stable_seed(seed, b.dag.key(), c.key()))
+    lv = batch_eval(b.dag, env, 32)
+    rv = batch_eval(c, env, 32)
+    evals += SAMPLES
+    bad = np.nonzero(lv != rv)[0]
+    if bad.size:
+        cex = tuple(int(e[bad[0]]) for e in env)
+        return Verdict(TIER_REJECTED, "reduced-width", cex, evals, "; ".join(notes) or None)
 
     return Verdict(TIER_PROBABLE, "reduced-width", evals=evals, note="; ".join(notes) or None)

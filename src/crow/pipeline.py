@@ -103,7 +103,7 @@ def explore_module(m: Module, cfg: RunConfig) -> list[BlockSynthesis]:
     converted once to work units, equally across the blocks eligible for
     synthesis."""
     blocks = extract_module_blocks(m)
-    eligible = [b for b in blocks if skip_reason(b, cfg.synthesis, cfg.checker) is None]
+    eligible = [b for b in blocks if skip_reason(b, cfg.checker) is None]
     quota = int(cfg.timeout_seconds / max(len(eligible), 1) * WORK_UNITS_PER_SECOND)
     tasks = [(b, cfg.synthesis, cfg.checker, quota, cfg.seed) for b in blocks]
     return _fan_out(_synth_task, tasks, cfg.jobs)

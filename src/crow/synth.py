@@ -60,6 +60,13 @@ CANDIDATE_OPS = tuple(PURE_OPS)  # canonical order
 CORNER_VALUES = (0, 1, -1, 2, 10, 2**31 - 1, -(2**31))
 CORNER_CAP = 512
 
+# Fixed settings: no flag sets them and the store does not record them, so
+# they change only with the tool version.
+POOL_BASE = (0, 1, 2, -1)  # constants every pool holds
+PREFILTER_RANDOM = 64  # seeded random prefilter vectors, after the corners
+MAX_BLOCK_NODES = 64  # larger blocks are recorded but not synthesized
+MAX_REPLACEMENTS = 24  # deterministic early stop per block
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -77,8 +84,6 @@ class Vocabulary:
         if unknown:
             raise ConfigError(f"not pure candidate ops: {sorted(unknown)}")
         ops = tuple(op for op in CANDIDATE_OPS if op in names_set)
-        if not ops and not allow_const:
-            raise ConfigError("vocabulary is empty")
         return cls(ops=ops, allow_const=allow_const)
 
     @classmethod
@@ -94,17 +99,11 @@ class Vocabulary:
 class SynthesisConfig:
     max_size: int = 3  # op nodes per candidate; hard cap 50
     vocabulary: Vocabulary = field(default_factory=Vocabulary.default)
-    pool_base: tuple[int, ...] = (0, 1, 2, -1)
-    prefilter_random: int = 64  # R
-    max_block_nodes: int = 64  # larger blocks are recorded but not synthesized
-    max_replacements: int = 24  # deterministic early stop per block
 
     def __post_init__(self):
         errs = []
         if not 1 <= self.max_size <= 50:
             errs.append("max candidate size must lie in 1..50")
-        if self.prefilter_random < 1:
-            errs.append("prefilter vector count must be >= 1")
         if not self.vocabulary.ops and not self.vocabulary.allow_const:
             errs.append("vocabulary is empty")
         if errs:
@@ -135,19 +134,19 @@ class BlockSynthesis:
     skipped_reason: str | None = None
 
 
-def skip_reason(b: PureBlock, cfg: SynthesisConfig, checker: CheckerConfig) -> str | None:
+def skip_reason(b: PureBlock, checker: CheckerConfig) -> str | None:
     """Why block `b` gets no synthesis budget, or None when it is eligible."""
-    if b.node_count > cfg.max_block_nodes:
-        return f"block has {b.node_count} nodes (> {cfg.max_block_nodes})"
+    if b.node_count > MAX_BLOCK_NODES:
+        return f"block has {b.node_count} nodes (> {MAX_BLOCK_NODES})"
     if b.inputs and checker.mode == "exhaustive-only":
         return f"block has {len(b.inputs)} input(s), which the exhaustive checker cannot verify"
     return None
 
 
-def constant_pool(b: PureBlock, cfg: SynthesisConfig) -> tuple[int, ...]:
+def constant_pool(b: PureBlock) -> tuple[int, ...]:
     """Base constants plus the block's own immediates, their neighbors, and
     their negations (the last reaches subtract-a-negative rewrites)."""
-    pool = set(cfg.pool_base)
+    pool = set(POOL_BASE)
     for n in b.dag.nodes:
         if n.kind == K_CONST:
             pool.update((n.value, n.value + 1, n.value - 1, -n.value))
@@ -285,7 +284,7 @@ def _leaves_for(b: PureBlock, cfg: SynthesisConfig):
     """Leaf catalogue: block inputs first, then pool constants ascending."""
     leaves = [("input", i) for i in range(len(b.inputs))]
     if cfg.vocabulary.allow_const:
-        leaves.extend(("const", v) for v in constant_pool(b, cfg))
+        leaves.extend(("const", v) for v in constant_pool(b))
     return leaves
 
 
@@ -313,9 +312,9 @@ def _self_test(b: PureBlock, max_size: int):
 # --- prefiltering ----------------------------------------------------------------
 
 
-def prefilter_vectors(b: PureBlock, cfg: SynthesisConfig, seed: int):
-    """Corner-value combinations (capped) plus R seeded random vectors, as
-    uint64 arrays, one per block input."""
+def prefilter_vectors(b: PureBlock, seed: int):
+    """Corner-value combinations (capped) plus PREFILTER_RANDOM seeded random
+    vectors, as uint64 arrays, one per block input."""
     n = len(b.inputs)
     if n == 0:
         return []
@@ -328,7 +327,7 @@ def prefilter_vectors(b: PureBlock, cfg: SynthesisConfig, seed: int):
             cols[j].append(corners[rest % len(corners)])
             rest //= len(corners)
     seed = equiv._stable_seed("prefilter", seed, b.dag.key())
-    rand = equiv.random_vectors(n, cfg.prefilter_random, seed)
+    rand = equiv.random_vectors(n, PREFILTER_RANDOM, seed)
     return [
         np.concatenate([np.array(col, dtype=np.uint64), rand[j]])
         for j, col in enumerate(cols)
@@ -357,14 +356,14 @@ def synthesize_replacements(
     """Collects every candidate the checker does not reject, in stream order,
     until enumeration completes, the replacement cap is hit, or the block's
     `quota` of work units runs out."""
-    result = BlockSynthesis(block=b, skipped_reason=skip_reason(b, cfg, checker))
+    result = BlockSynthesis(block=b, skipped_reason=skip_reason(b, checker))
     if result.skipped_reason:
         result.stopped = "skipped"
         return result
 
     leaves = _leaves_for(b, cfg)
     is_self = _self_test(b, cfg.max_size)
-    vectors = prefilter_vectors(b, cfg, seed)
+    vectors = prefilter_vectors(b, seed)
     n_vec = len(vectors[0]) if vectors else 1
     charge = max(n_vec, 16)  # floor covers per-candidate bookkeeping cost
     target = np.atleast_1d(batch_eval(b.dag, vectors, 32))
@@ -398,7 +397,7 @@ def synthesize_replacements(
                 emitted_len=len(emit_dag(dag)),
             )
         )
-        if len(result.replacements) >= cfg.max_replacements:
+        if len(result.replacements) >= MAX_REPLACEMENTS:
             result.stopped = "cap"
             return False
         return True

@@ -78,6 +78,7 @@ CONTROL_MNEMONICS = frozenset(
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 UINT32_MAX = 2**32 - 1
+MAX_PAGES = 65536  # the spec's memory limit: 4 GiB of 64 KiB pages
 
 
 def wrap_i32(v: int) -> int:
@@ -402,6 +403,8 @@ def parse_module(text: str) -> Module:
             memory = _parse_int(item[1])
             if memory < 0:
                 raise ParseError("negative page count", *_loc(item))
+            if memory > MAX_PAGES:
+                raise ParseError(f"{memory} pages exceed the limit of {MAX_PAGES}", *_loc(item))
         elif h == "export":
             name, idx = _parse_export(item)
             if name in exports:

@@ -11,7 +11,7 @@ field for field.
 
 import numpy as np
 
-from crow import equiv
+from crow import equiv, synth
 from crow.emit import emit_dag
 from crow.equiv import batch_apply, batch_eval
 from crow.ir import PURE_OPS, SEMANTICS, _reachable_key, width_constants
@@ -87,14 +87,14 @@ def reference_stream(b, cfg):
 
 
 def synthesize_reference(b, cfg, checker, quota, seed) -> BlockSynthesis:
-    result = BlockSynthesis(block=b, skipped_reason=skip_reason(b, cfg, checker))
+    result = BlockSynthesis(block=b, skipped_reason=skip_reason(b, checker))
     if result.skipped_reason:
         result.stopped = "skipped"
         return result
 
     leaves = _leaves_for(b, cfg)
     self_key = _reachable_key(b.dag)
-    vectors = prefilter_vectors(b, cfg, seed)
+    vectors = prefilter_vectors(b, seed)
     n_vec = len(vectors[0]) if vectors else 1
     charge = max(n_vec, 16)
     block_vals = np.atleast_1d(batch_eval(b.dag, vectors, 32)) if vectors else None
@@ -134,7 +134,7 @@ def synthesize_reference(b, cfg, checker, quota, seed) -> BlockSynthesis:
                 emitted_len=len(emit_dag(dag)),
             )
         )
-        if len(result.replacements) >= cfg.max_replacements:
+        if len(result.replacements) >= synth.MAX_REPLACEMENTS:
             result.stopped = "cap"
             return False
         return True

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import runpy
 import tracemalloc
@@ -9,8 +10,11 @@ import crow.cli
 import crow.pipeline
 from crow import corpus
 from crow.cli import main
+from crow.equiv import SOLVER_ENV, CheckerConfig
 from crow.interp import read_trace
 from crow.metrics import dtw, tokenize
+from crow.pipeline import RunConfig
+from crow.synth import SynthesisConfig
 from crow.wat import parse_module, validate
 
 # small-run flags of each subcommand: explore takes the synthesis ones,
@@ -49,6 +53,46 @@ def test_explore_rejects_bad_config(module_file):
 def test_smt_checker_needs_solver(module_file, monkeypatch):
     monkeypatch.delenv("CROW_SOLVER", raising=False)
     assert main(["explore", str(module_file), "--checker", "smt"]) == 3
+
+
+def test_empty_vocabulary_is_a_config_error(tmp_path, module_file, capsys):
+    assert main(["explore", str(module_file), "--vocab", ",", "-o", str(tmp_path / "s")]) == 3
+    assert "vocabulary is empty" in capsys.readouterr().err
+
+
+EVERY_FLAG = [
+    "--seed", "7", "--timeout-secs", "2", "--max-size", "2", "--vocab", "add,const",
+    "--checker", "smt", "--solver-cmd", "z3 -in", "--jobs", "2",
+    "--max-variants", "8", "--rank-by-diff", "--strict",
+    "--invoke", "run", "--args", "1,2", "--fuel", "99",
+]
+
+
+def test_every_config_field_is_set_by_a_flag(module_file, monkeypatch):
+    """A config field exists only where a flag sets it: `diversify` with
+    every flag at a non-default value changes every field of the three
+    configs."""
+    monkeypatch.delenv(SOLVER_ENV, raising=False)
+    args = crow.cli.build_parser().parse_args(["diversify", str(module_file), *EVERY_FLAG])
+    cfg = crow.cli._run_config(args)
+    for config, default in [(cfg, RunConfig()), (cfg.synthesis, SynthesisConfig()),
+                            (cfg.checker, CheckerConfig())]:
+        for f in dataclasses.fields(config):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "M"], ["generate", "M", "S"], ["trace", "M"], ["diversify", "M"],
+])
+def test_unset_flags_keep_the_config_defaults(monkeypatch, argv):
+    """Each default lives in its config dataclass: an unset flag is None,
+    except the output path, and leaves every field at its default."""
+    monkeypatch.delenv(SOLVER_ENV, raising=False)
+    args = crow.cli.build_parser().parse_args(argv)
+    flags = {dest: v for dest, v in vars(args).items()
+             if dest not in ("command", "fn", "module", "store", "output")}
+    assert flags and all(v is None for v in flags.values()), flags
+    assert crow.cli._run_config(args) == RunConfig()
 
 
 def test_generate_from_store(tmp_path, module_file):
@@ -214,6 +258,18 @@ def test_trace_fuel_exit_code(tmp_path):
 def test_negative_fuel_is_a_config_error(tmp_path, module_file, command):
     out = tmp_path / "out"
     assert main([command, str(module_file), "--fuel", "-1", "-o", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "diversify"])
+def test_memory_over_the_page_limit_is_malformed_input(tmp_path, capsys, command):
+    """Rejected when parsed, before any page is allocated or -o is claimed."""
+    p = tmp_path / "big.wat"
+    p.write_text('(module (memory 1000000000000) (func (result i32) i32.const 7)'
+                 ' (export "main" (func 0)))')
+    out = tmp_path / "out"
+    assert main([command, str(p), "-o", str(out)]) == 2
+    assert "exceed the limit of 65536" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from crow import equiv
 from crow.equiv import (
     CheckerConfig,
     InfeasibleDomainError,
@@ -23,7 +24,7 @@ MUL2 = ("mul", IN(0), C(2))
 SHL1 = ("shl", IN(0), C(1))
 ADD1 = ("add", IN(0), C(1))
 
-NO_SOLVER = CheckerConfig(samples=4096)
+NO_SOLVER = CheckerConfig()
 
 
 # --- eval_dag ---------------------------------------------------------------
@@ -160,7 +161,7 @@ def test_reduced_width_counterexample_discarded():
     # x*65536 vs x*65537 agree at widths 4/8/16 but differ at 32; random
     # samples must catch it instead.
     b = block_of(("mul", IN(0), C(65536)), 1)
-    verdict = check(b, D(("mul", IN(0), C(65537))), CheckerConfig(samples=4096), 0)
+    verdict = check(b, D(("mul", IN(0), C(65537))), NO_SOLVER, 0)
     assert verdict.tier == "rejected"
 
 
@@ -172,33 +173,30 @@ def test_probable_requires_sample_agreement():
 
 # --- metamorphic families -----------------------------------------------------
 
-FAST = CheckerConfig(samples=512)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 31))
 def test_mul_pow2_vs_shift_never_rejected(k):
     b = block_of(("mul", IN(0), C(1 << k)), 1)
-    assert check(b, D(("shl", IN(0), C(k))), FAST, 0).tier != "rejected"
+    assert check(b, D(("shl", IN(0), C(k))), NO_SOLVER, 0).tier != "rejected"
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(-(2**31) + 1, 2**31 - 1))
 def test_sub_negative_vs_add_never_rejected(n):
     b = block_of(("sub", IN(0), C(-n)), 1)
-    assert check(b, D(("add", IN(0), C(n))), FAST, 0).tier != "rejected"
+    assert check(b, D(("add", IN(0), C(n))), NO_SOLVER, 0).tier != "rejected"
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(-(2**31), 2**31 - 2))
 def test_compare_inversion_never_rejected(bnd):
     b = block_of(("gt_s", IN(0), C(bnd)), 1)
-    assert check(b, D(("le_s", C(bnd + 1), IN(0))), FAST, 0).tier != "rejected"
+    assert check(b, D(("le_s", C(bnd + 1), IN(0))), NO_SOLVER, 0).tier != "rejected"
 
 
 def test_xor_self_is_zero_never_rejected():
     b = block_of(("xor", IN(0), IN(0)), 1)
-    assert check(b, D(C(0)), FAST, 0).tier != "rejected"
+    assert check(b, D(C(0)), NO_SOLVER, 0).tier != "rejected"
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,7 +204,7 @@ def test_xor_self_is_zero_never_rejected():
 def test_add_const_perturbation_rejected(c0, delta):
     # a +-1..3 change to an additive constant is visible at any width
     b = block_of(("add", IN(0), C(c0)), 1)
-    verdict = check(b, D(("add", IN(0), C(c0 + delta))), CheckerConfig(widths=(4,), samples=64), 0)
+    verdict = check(b, D(("add", IN(0), C(c0 + delta))), NO_SOLVER, 0)
     assert verdict.tier == "rejected"
     cex = verdict.counterexample
     assert eval_dag(b.dag, cex) != eval_dag(D(("add", IN(0), C(c0 + delta))), cex)
@@ -271,7 +269,7 @@ def fake_solver(tmp_path):
 
 def test_solver_unsat_verifies(fake_solver):
     b = block_of(MUL2, 1)
-    cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("unsat"), samples=64)
+    cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("unsat"))
     verdict = check(b, D(SHL1), cfg, 0)
     assert (verdict.tier, verdict.method) == ("verified", "smt")
 
@@ -279,7 +277,7 @@ def test_solver_unsat_verifies(fake_solver):
 def test_solver_sat_model_rejects_when_it_replays(fake_solver):
     # x*2 vs x+1 differ at the model point x=0
     b = block_of(MUL2, 1)
-    cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("sat0"), samples=64)
+    cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("sat0"))
     verdict = check(b, D(ADD1), cfg, 0)
     assert (verdict.tier, verdict.method) == ("rejected", "smt")
     assert verdict.counterexample == (0,)
@@ -288,7 +286,7 @@ def test_solver_sat_model_rejects_when_it_replays(fake_solver):
 def test_solver_sat_without_replay_falls_back(fake_solver):
     # equivalent pair, but the fake solver lies "sat": fall back to probable
     b = block_of(MUL2, 1)
-    cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("sat0"), samples=512)
+    cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("sat0"))
     verdict = check(b, D(SHL1), cfg, 0)
     assert verdict.tier == "probable"
     assert "solver-failure" in (verdict.note or "")
@@ -296,17 +294,16 @@ def test_solver_sat_without_replay_falls_back(fake_solver):
 
 def test_solver_garbage_falls_back(fake_solver):
     b = block_of(MUL2, 1)
-    cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("garbage"), samples=512)
+    cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("garbage"))
     verdict = check(b, D(SHL1), cfg, 0)
     assert verdict.tier == "probable"
     assert "solver-failure" in (verdict.note or "")
 
 
-def test_solver_timeout_falls_back(fake_solver):
+def test_solver_timeout_falls_back(fake_solver, monkeypatch):
+    monkeypatch.setattr(equiv, "SOLVER_TIMEOUT", 0.5)
     b = block_of(MUL2, 1)
-    cfg = CheckerConfig(
-        mode="smt", solver_cmd=fake_solver("hang"), solver_timeout=0.5, samples=256
-    )
+    cfg = CheckerConfig(mode="smt", solver_cmd=fake_solver("hang"))
     verdict = check(b, D(SHL1), cfg, 0)
     assert verdict.tier == "probable"
 

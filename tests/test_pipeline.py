@@ -26,7 +26,6 @@ from dagutil import C, D, IN
 
 FAST = RunConfig(
     synthesis=SynthesisConfig(max_size=2),
-    checker=CheckerConfig(samples=512),
     timeout_seconds=2,
     max_variants=16,
 )

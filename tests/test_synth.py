@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
+from contextlib import ExitStack
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from crow import synth
+from crow import equiv, synth
 from crow.equiv import CheckerConfig, batch_eval, check
 from crow.ir import (
     K_CONST, K_INPUT, K_OP, PURE_OPS, Dag, DagNode, _reachable_key, extract_module_blocks,
@@ -26,15 +28,12 @@ from crow.synth import (
 from dagutil import C, D, IN, block_of
 from synth_oracle import reference_stream, synthesize_reference
 
-FAST_CHECKER = CheckerConfig(samples=512)
+CHECKER = CheckerConfig()
 QUOTA = 60 * synth.WORK_UNITS_PER_SECOND  # a minute's worth of work units
 
 
-def small_cfg(**kw):
-    defaults = dict(max_size=1, vocabulary=Vocabulary.of("add", "sub", "const"),
-                    pool_base=(0, 1), prefilter_random=8)
-    defaults.update(kw)
-    return SynthesisConfig(**defaults)
+def small_cfg(max_size=1, vocabulary=Vocabulary.of("add", "sub", "const")):
+    return SynthesisConfig(max_size=max_size, vocabulary=vocabulary)
 
 
 # --- enumeration oracle --------------------------------------------------------
@@ -61,27 +60,27 @@ def brute_force_size1(ops, leaves):
 def test_size1_stream_matches_brute_force():
     b = block_of(("eqz", IN(0)), 1)  # no const immediates: pool is exactly the base
     cfg = small_cfg()
-    assert constant_pool(b, cfg) == (0, 1)
+    assert constant_pool(b) == tuple(sorted(synth.POOL_BASE)) == (-1, 0, 1, 2)
     got = [_reachable_key(c.dag) for c in enumerate_candidates(b, cfg)]
-    leaves = ["i0", "c0", "c1"]
+    leaves = ["i0", "c-1", "c0", "c1", "c2"]
     want = [
         f"{op}({leaves[a]},{leaves[b_]})"
         for op, a, b_ in brute_force_size1(("add", "sub"), leaves)
     ]
     assert got == want
-    assert len(got) == 18
+    assert len(got) == 50
 
 
 def test_stream_excludes_self():
     b = block_of(("add", IN(0), C(0)), 1)
-    cfg = small_cfg(pool_base=(0,))
-    keys = [_reachable_key(c.dag) for c in enumerate_candidates(b, cfg)]
+    keys = [_reachable_key(c.dag) for c in enumerate_candidates(b, small_cfg())]
     assert "add(i0,c0)" not in keys
-    # pool: base {0} plus immediate 0 and its neighbors -> {-1, 0, 1}
-    assert len(keys) == 2 * 4 * 4 - 1
+    # pool: the base {0, 1, 2, -1}; immediate 0 and its neighbors add nothing
+    assert len(keys) == 2 * 5 * 5 - 1
 
 
-def test_single_op_vocabulary_exact_stream():
+def test_single_op_vocabulary_exact_stream(monkeypatch):
+    monkeypatch.setattr(synth, "POOL_BASE", (0, 1))  # a stream short enough to spell out
     b = block_of(("eqz", IN(0)), 1)
     cfg = small_cfg(vocabulary=Vocabulary.of("add", "const"))
     got = [_reachable_key(c.dag) for c in enumerate_candidates(b, cfg)]
@@ -107,7 +106,7 @@ def test_enumeration_indices_are_stream_positions():
 
 def test_size2_trees_are_unique_and_ordered():
     b = block_of(("eqz", IN(0)), 1)
-    cfg = small_cfg(max_size=2, vocabulary=Vocabulary.of("add", "const"), pool_base=(0,))
+    cfg = small_cfg(max_size=2, vocabulary=Vocabulary.of("add", "const"))
     keys = [_reachable_key(c.dag) for c in enumerate_candidates(b, cfg)]
     assert len(keys) == len(set(keys))
     # iterative deepening: all size-1 trees come before any size-2 tree
@@ -122,13 +121,13 @@ def test_size2_trees_are_unique_and_ordered():
 
 def test_pool_includes_negated_immediates():
     b = block_of(("sub", IN(0), C(-5)), 1)
-    pool = constant_pool(b, SynthesisConfig())
+    pool = constant_pool(b)
     assert 5 in pool and -5 in pool and -4 in pool and -6 in pool
 
 
 def block_values(b):
     """The block's values on its prefilter vectors, as synthesis holds them."""
-    return np.atleast_1d(batch_eval(b.dag, prefilter_vectors(b, SynthesisConfig(), 0), 32))
+    return np.atleast_1d(batch_eval(b.dag, prefilter_vectors(b, 0), 32))
 
 
 def test_infer_constant_zero_input():
@@ -154,7 +153,7 @@ def test_infer_constant_masked_block():
 
 def prefilter(b, rhs) -> bool:
     """True iff block and candidate agree on every prefilter vector."""
-    vectors = prefilter_vectors(b, SynthesisConfig(), 0)
+    vectors = prefilter_vectors(b, 0)
     return bool((batch_eval(b.dag, vectors, 32) == batch_eval(D(rhs), vectors, 32)).all())
 
 
@@ -188,7 +187,7 @@ def test_prefilter_never_rejects_equivalent_rewrites():
 def test_mul_block_yields_shift_and_double_add():
     b = block_of(("mul", IN(0), C(2)), 1)
     cfg = SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("shl", "add", "mul", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
+    result = synthesize_replacements(b, cfg, CHECKER, QUOTA, 0)
     keys = {_reachable_key(r.candidate.dag) for r in result.replacements}
     assert "shl(i0,c1)" in keys
     assert "add(i0,i0)" in keys
@@ -198,14 +197,14 @@ def test_mul_block_yields_shift_and_double_add():
 def test_sub_negative_becomes_add():
     b = block_of(("sub", IN(0), C(-5)), 1)
     cfg = SynthesisConfig(max_size=1, vocabulary=Vocabulary.of("add", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
+    result = synthesize_replacements(b, cfg, CHECKER, QUOTA, 0)
     keys = {_reachable_key(r.candidate.dag) for r in result.replacements}
     assert "add(i0,c5)" in keys
 
 
 def test_empty_vocabulary_rejected():
-    with pytest.raises(ConfigError):
-        Vocabulary.of()
+    with pytest.raises(ConfigError, match="vocabulary is empty"):
+        SynthesisConfig(vocabulary=Vocabulary.of())
 
 
 def test_checker_config_validated_on_entry():
@@ -217,7 +216,7 @@ def test_checker_config_validated_on_entry():
 def test_no_self_replacement():
     b = block_of(("add", IN(0), IN(0)), 1)
     cfg = SynthesisConfig(max_size=1, vocabulary=Vocabulary.of("add", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
+    result = synthesize_replacements(b, cfg, CHECKER, QUOTA, 0)
     self_seq = "add(i0,i0)"
     assert all(_reachable_key(r.candidate.dag) != self_seq for r in result.replacements)
 
@@ -225,7 +224,7 @@ def test_no_self_replacement():
 def test_zero_input_block_gets_constant():
     b = block_of(("sub", ("mul", C(158), C(160)), C(16)), 0)
     cfg = SynthesisConfig(max_size=1, vocabulary=Vocabulary.of("add", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
+    result = synthesize_replacements(b, cfg, CHECKER, QUOTA, 0)
     assert result.replacements, "constant inference must produce a verified replacement"
     first = result.replacements[0]
     assert first.candidate.index == -1
@@ -235,46 +234,49 @@ def test_zero_input_block_gets_constant():
 
 def test_replacement_cap_stops_early():
     b = block_of(("mul", IN(0), C(2)), 1)
-    cfg = SynthesisConfig(max_size=2, max_replacements=2)
-    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
+    result = synthesize_replacements(b, SynthesisConfig(max_size=2), CHECKER, QUOTA, 0)
     assert result.stopped == "cap"
-    assert len(result.replacements) == 2
+    assert len(result.replacements) == synth.MAX_REPLACEMENTS == 24
 
 
 def test_budget_exhaustion_flagged():
     b = block_of(("mul", IN(0), C(2)), 1)
-    cfg = SynthesisConfig(max_size=3, max_replacements=10**9)
-    result = synthesize_replacements(b, cfg, FAST_CHECKER, 800, 0)
+    cfg = SynthesisConfig(max_size=3)
+    result = synthesize_replacements(b, cfg, CHECKER, 800, 0)
     assert result.stopped == "budget"
 
 
 def test_oversized_block_skipped():
-    b = block_of(("mul", IN(0), C(2)), 1)
-    cfg = SynthesisConfig(max_block_nodes=2)
-    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
+    tree = IN(0)
+    for k in range(32):  # 65 nodes: 32 adds, 32 constants, 1 input
+        tree = ("add", tree, C(k))
+    b = block_of(tree, 1)
+    assert b.node_count == 65 > synth.MAX_BLOCK_NODES
+    result = synthesize_replacements(b, SynthesisConfig(), CHECKER, QUOTA, 0)
     assert result.stopped == "skipped"
+    assert result.skipped_reason == "block has 65 nodes (> 64)"
     assert result.replacements == []
 
 
 def test_determinism_and_budget_prefix():
     b = block_of(("mul", IN(0), C(2)), 1)
-    cfg = SynthesisConfig(max_size=2, max_replacements=12)
-    r1 = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 7)
-    r2 = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 7)
+    cfg = SynthesisConfig(max_size=2)
+    r1 = synthesize_replacements(b, cfg, CHECKER, QUOTA, 7)
+    r2 = synthesize_replacements(b, cfg, CHECKER, QUOTA, 7)
     assert [x.candidate for x in r1.replacements] == [x.candidate for x in r2.replacements]
     # a smaller budget yields a prefix of the larger run's result list
-    small = synthesize_replacements(b, cfg, FAST_CHECKER, 16_000, 7)
+    small = synthesize_replacements(b, cfg, CHECKER, 16_000, 7)
     ks = [x.candidate for x in small.replacements]
     assert ks == [x.candidate for x in r1.replacements][: len(ks)]
 
 
 def test_rechecking_stored_replacements_is_stable():
     b = block_of(("gt_s", IN(0), C(10)), 1)
-    cfg = SynthesisConfig(max_size=1, max_replacements=8)
-    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
+    cfg = SynthesisConfig(max_size=1)
+    result = synthesize_replacements(b, cfg, CHECKER, QUOTA, 0)
     assert result.replacements
     for r in result.replacements:
-        again = check(b, r.candidate.dag, FAST_CHECKER, 0)
+        again = check(b, r.candidate.dag, CHECKER, 0)
         assert again.tier == r.tier
 
 
@@ -282,7 +284,7 @@ def test_listing_style_end_to_end_blocks(mul_add_module):
     blocks = extract_module_blocks(mul_add_module)
     b = next(x for x in blocks if x.dag.nodes[x.dag.root].op == "add")
     cfg = SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("shl", "add", "mul", "const"))
-    result = synthesize_replacements(b, cfg, FAST_CHECKER, QUOTA, 0)
+    result = synthesize_replacements(b, cfg, CHECKER, QUOTA, 0)
     keys = {_reachable_key(r.candidate.dag) for r in result.replacements}
     assert "mul(i0,c3)" in keys  # 3x in one op
     assert any("shl" in k for k in keys)
@@ -332,6 +334,14 @@ def block_trees(draw, n_inputs, depth=0):
     return (op, *(draw(block_trees(n_inputs, depth + 1)) for _ in range(PURE_OPS[op])))
 
 
+def patched(constants) -> ExitStack:
+    """A context in which each (module, name, value) triple is patched in."""
+    stack = ExitStack()
+    for module, name, value in constants:
+        stack.enter_context(patch.object(module, name, value))
+    return stack
+
+
 @st.composite
 def synthesis_cases(draw):
     n_inputs = draw(st.integers(0, 3))
@@ -341,73 +351,75 @@ def synthesis_cases(draw):
         ops = []
     allow_const = draw(st.booleans()) or not ops
     vocabulary = Vocabulary.of(*ops, *(["const"] if allow_const else []))
-    cfg = SynthesisConfig(
-        max_size=draw(st.integers(1, 3)),
-        vocabulary=vocabulary,
-        pool_base=tuple(draw(st.lists(st.sampled_from(CONSTS), max_size=3, unique=True))),
-        prefilter_random=draw(st.sampled_from([1, 8, 64])),
-        max_replacements=draw(st.sampled_from([1, 3, 24, 10**6])),
+    cfg = SynthesisConfig(max_size=draw(st.integers(1, 3)), vocabulary=vocabulary)
+    constants = (
+        (synth, "POOL_BASE",
+         tuple(draw(st.lists(st.sampled_from(CONSTS), max_size=3, unique=True)))),
+        (synth, "PREFILTER_RANDOM", draw(st.sampled_from([1, 8, 64]))),
+        (synth, "MAX_REPLACEMENTS", draw(st.sampled_from([1, 3, 24, 10**6]))),
+        (equiv, "REDUCED_WIDTHS", (4,)),
+        (equiv, "SAMPLES", draw(st.sampled_from([0, 64, 4000]))),
     )
     seed = draw(st.integers(0, 3))
     # a budget of some candidates' worth of units, plus part of one more
-    vectors = prefilter_vectors(b, cfg, seed)
+    with patched(constants):
+        vectors = prefilter_vectors(b, seed)
     charge = max(len(vectors[0]) if vectors else 1, 16)
     candidates = draw(st.one_of(st.integers(0, 20), st.integers(20, 3000)))
     quota = candidates * charge + draw(st.integers(0, charge - 1))
-    checker = CheckerConfig(
-        mode=draw(st.sampled_from(["probable-ok", "exhaustive-only"])),
-        widths=(4,),
-        samples=draw(st.sampled_from([0, 64, 4000])),
-    )
-    return b, cfg, checker, quota, seed
+    checker = CheckerConfig(mode=draw(st.sampled_from(["probable-ok", "exhaustive-only"])))
+    return constants, (b, cfg, checker, quota, seed)
 
 
 @pytest.mark.parametrize("batching", BATCHING)
 @settings(max_examples=60, deadline=None)
 @given(case=synthesis_cases())
 def test_batched_synthesis_matches_oracle(batching, case):
-    _assert_matches_oracle(batching, *case)
+    constants, args = case
+    with patched(constants):
+        _assert_matches_oracle(batching, *args)
 
 
 @pytest.mark.parametrize("batching", BATCHING)
 @pytest.mark.parametrize(
-    "tree, n_inputs, cfg, checker, expect",  # each cfg is (SynthesisConfig, quota)
+    # each cfg is (SynthesisConfig, quota, the constants patched in, if any)
+    "tree, n_inputs, cfg, checker, expect",
     [
         # zero-input block: the inferred constant comes first, at index -1
         (("sub", ("mul", C(158), C(160)), C(16)), 0,
          (SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("add", "shl", "const")), 40_000),
-         FAST_CHECKER, lambda r: r.replacements[0].candidate.index == -1),
+         CHECKER, lambda r: r.replacements[0].candidate.index == -1),
         # const-only vocabulary: nothing to enumerate beyond the inferred constant
         (("and", IN(0), C(0)), 1, (SynthesisConfig(vocabulary=Vocabulary.of("const")), QUOTA),
-         FAST_CHECKER, lambda r: r.candidates_seen == 1 and r.stopped == "complete"),
+         CHECKER, lambda r: r.candidates_seen == 1 and r.stopped == "complete"),
         # the budget stops at the first candidate
         (("mul", IN(0), C(2)), 1, (SynthesisConfig(), 0),
-         FAST_CHECKER, lambda r: (r.candidates_seen, r.stopped) == (1, "budget")),
-        # the budget stops mid-chunk (a chunk holds 115 candidates of 71 vectors)
-        (("mul", IN(0), C(2)), 1, (SynthesisConfig(max_size=2), 71 * 300),
-         FAST_CHECKER, lambda r: r.stopped == "budget" and r.candidates_seen == 278),
+         CHECKER, lambda r: (r.candidates_seen, r.stopped) == (1, "budget")),
+        # the budget stops mid-chunk (a chunk holds 115 candidates of 71 vectors),
+        # after checks too short to spend it
+        (("mul", IN(0), C(2)), 1, (SynthesisConfig(max_size=2), 71 * 300, (equiv, "SAMPLES", 512)),
+         CHECKER, lambda r: r.stopped == "budget" and r.candidates_seen == 278),
         # the replacement cap
-        (("add", IN(0), IN(1)), 2, (SynthesisConfig(max_size=2, max_replacements=3), QUOTA),
-         FAST_CHECKER, lambda r: r.stopped == "cap" and len(r.replacements) == 3),
+        (("add", IN(0), IN(1)), 2, (SynthesisConfig(max_size=2), QUOTA),
+         CHECKER, lambda r: r.stopped == "cap" and len(r.replacements) == synth.MAX_REPLACEMENTS),
         # checker evaluations push the work units past the quota
         (("add", IN(0), IN(0)), 1,
-         (SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("add", "shl", "const"),
-                          max_replacements=10**6), 20_000),
-         CheckerConfig(samples=30_000),
-         lambda r: r.stopped == "budget" and r.work_units > 30_000),
+         (SynthesisConfig(max_size=2, vocabulary=Vocabulary.of("add", "shl", "const")), 20_000),
+         CHECKER, lambda r: r.stopped == "budget" and r.work_units > equiv.SAMPLES),
         # the exhaustive checker cannot verify an input block: it is skipped uncharged
         (("mul", IN(0), C(2)), 1, (SynthesisConfig(max_size=2), 40_000),
          CheckerConfig(mode="exhaustive-only"),
          lambda r: (r.stopped, r.candidates_seen, r.work_units) == ("skipped", 0, 0)),
         # a block of 3 ops that the size-3 stream contains: its own tree is skipped
         (("add", ("add", IN(0), IN(0)), ("add", IN(0), IN(0))), 1,
-         (SynthesisConfig(vocabulary=Vocabulary.of("add", "const"), pool_base=(1,)), QUOTA),
-         FAST_CHECKER, lambda r: r.stopped == "complete"),
+         (SynthesisConfig(vocabulary=Vocabulary.of("add", "const")), QUOTA),
+         CHECKER, lambda r: r.stopped == "complete"),
     ],
 )
 def test_batched_synthesis_edge_cases(batching, tree, n_inputs, cfg, checker, expect):
-    cfg, quota = cfg
-    got = _assert_matches_oracle(batching, block_of(tree, n_inputs), cfg, checker, quota)
+    cfg, quota, *constants = cfg
+    with patched(constants):
+        got = _assert_matches_oracle(batching, block_of(tree, n_inputs), cfg, checker, quota)
     assert expect(got)
 
 
@@ -418,10 +430,10 @@ def test_deep_sharing_never_builds_the_block_key(monkeypatch):
     cfg = SynthesisConfig(max_size=3)
     with monkeypatch.context() as mp:
         mp.setattr(synth, "_reachable_key", refuse)
-        deep = synthesize_replacements(tee_chain(19), cfg, FAST_CHECKER, 80_000, 0)
+        deep = synthesize_replacements(tee_chain(19), cfg, CHECKER, 80_000, 0)
     assert deep.stopped == "budget" and deep.candidates_seen > 0
     # a short chain (3 ops, within max_size) still excludes its own tree
-    short = SynthesisConfig(max_size=3, vocabulary=Vocabulary.of("add", "const"), pool_base=())
-    got = _assert_matches_oracle((None, None), tee_chain(2), short, FAST_CHECKER)
+    short = SynthesisConfig(max_size=3, vocabulary=Vocabulary.of("add", "const"))
+    got = _assert_matches_oracle((None, None), tee_chain(2), short, CHECKER)
     assert all(_reachable_key(r.candidate.dag) != "add(add(i0,i0),add(i0,i0))"
                for r in got.replacements)

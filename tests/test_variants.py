@@ -32,8 +32,6 @@ from dagutil import C, D, IN
 from semantics_spec import corner_values, spec, to_signed
 from strategies import modules
 
-FAST = CheckerConfig(samples=512)
-
 
 def fake_replacement(k=0):
     return Replacement(Candidate(D(C(k)), k), "probable", "reduced-width", 1)
@@ -164,10 +162,10 @@ def test_empty_plan_rejected():
 # --- applying plans -----------------------------------------------------------------
 
 
-def synth_set(m, vocab=("shl", "add", "mul", "const"), max_size=2, cap=12):
+def synth_set(m, vocab=("shl", "add", "mul", "const"), max_size=2):
     blocks = extract_module_blocks(m)
-    cfg = SynthesisConfig(max_size=max_size, vocabulary=Vocabulary.of(*vocab), max_replacements=cap)
-    reps = {b.id: synthesize_replacements(b, cfg, FAST, 60 * WORK_UNITS_PER_SECOND, 0).replacements for b in blocks}
+    cfg = SynthesisConfig(max_size=max_size, vocabulary=Vocabulary.of(*vocab))
+    reps = {b.id: synthesize_replacements(b, cfg, CheckerConfig(), 60 * WORK_UNITS_PER_SECOND, 0).replacements for b in blocks}
     return blocks, resolve_overlaps(blocks, reps)
 
 
@@ -253,7 +251,7 @@ def run_equiv_check(text, entry="run", vectors=((0,), (1,), (-1,), (17,), (-2**3
     on concrete vectors."""
     m = parse_module(text)
     assert validate(m) == []
-    blocks, s = synth_set(m, vocab=("add", "or", "shl", "const"), max_size=1, cap=4)
+    blocks, s = synth_set(m, vocab=("add", "or", "shl", "const"), max_size=1)
     plans, _ = enumerate_combinations(s, limit=30)
     f = m.functions[m.exports[entry]]
     for plan in plans:

@@ -111,6 +111,12 @@ def test_globals_and_memory():
     assert m.memory == 2
 
 
+def test_memory_page_limit():
+    assert parse_module("(module (memory 65536))").memory == 65536  # 4 GiB, the spec's limit
+    with pytest.raises(ParseError, match="65537 pages exceed the limit of 65536"):
+        parse_module("(module (memory 65537))")
+
+
 def test_roundtrip_mul_add(mul_add_module):
     assert parse_module(print_module(mul_add_module)) == mul_add_module
 

@@ -237,11 +237,57 @@ def _decode(f: FuncDef, shape: BodyShape) -> _Function:
     return _Function(tuple(code), f.params, f.results, f.locals)
 
 
+PAGE = 65536
+
+
+class Memory:
+    """Linear memory of `size` bytes, kept as 64 KiB pages that are allocated
+    on the first store to them; a page never stored to reads as zeros. The
+    caller checks accesses against `size`."""
+
+    __slots__ = ("size", "pages")
+
+    def __init__(self, pages: int):
+        self.size = pages * PAGE
+        self.pages: dict[int, bytearray] = {}
+
+    def load(self, addr: int) -> int:
+        """The unsigned little-endian word at `addr`."""
+        off = addr & (PAGE - 1)
+        if off > PAGE - 4:  # the word spans two pages
+            return sum(self._byte(addr + k) << 8 * k for k in range(4))
+        page = self.pages.get(addr >> 16)
+        return 0 if page is None else int.from_bytes(page[off : off + 4], "little")
+
+    def store(self, addr: int, word: int) -> None:
+        """Writes the unsigned word little-endian at `addr`."""
+        off = addr & (PAGE - 1)
+        if off > PAGE - 4:
+            for k in range(4):
+                self._page(addr + k)[(addr + k) & (PAGE - 1)] = word >> 8 * k & 0xFF
+        else:
+            self._page(addr)[off : off + 4] = word.to_bytes(4, "little")
+
+    def _byte(self, addr: int) -> int:
+        page = self.pages.get(addr >> 16)
+        return 0 if page is None else page[addr & (PAGE - 1)]
+
+    def _page(self, addr: int) -> bytearray:
+        """The page holding `addr`, allocated on first use."""
+        page = self.pages.get(addr >> 16)
+        if page is None:
+            page = self.pages[addr >> 16] = bytearray(PAGE)
+        return page
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.pages.get(i, bytes(PAGE)) for i in range(self.size // PAGE))
+
+
 @dataclass
 class MachineState:
     module: Module
     globals: list[int]
-    memory: bytearray
+    memory: Memory
     fuel: int
     instruction_ceiling: int
     functions: list[_Function] = field(default_factory=list)
@@ -249,14 +295,14 @@ class MachineState:
 
 
 def instantiate(m: Module, fuel: int = DEFAULT_FUEL) -> MachineState:
-    """Globals initialized, memory zero-filled, function bodies decoded."""
+    """Globals initialized, memory reading as zeros, function bodies decoded."""
     diags = validate(m)
     if diags:
         raise ValueError(f"module does not validate: {diags[0]}")
     return MachineState(
         module=m,
         globals=[g.init for g in m.globals],
-        memory=bytearray((m.memory or 0) * 65536),
+        memory=Memory(m.memory or 0),
         fuel=fuel,
         instruction_ceiling=fuel * 16 + 1_000_000,
         functions=[_decode(f, analyze_body(f, m, i, diags)) for i, f in enumerate(m.functions)],
@@ -270,7 +316,7 @@ def _execute(state: MachineState, codes: array, fn_index: int, locals_: list[int
     record events past `fuel` (see the module docstring)."""
     functions = state.functions
     globals_ = state.globals
-    memory = state.memory
+    memory_size, load, store = state.memory.size, state.memory.load, state.memory.store
     ceiling = state.instruction_ceiling
     n = state.instructions_executed
     append = codes.append
@@ -396,9 +442,9 @@ def _execute(state: MachineState, codes: array, fn_index: int, locals_: list[int
                 v = pop()
                 append(v + v)
                 addr = v & 0xFFFFFFFF
-                if addr + 4 > len(memory):
+                if addr + 4 > memory_size:
                     raise _Trap("out-of-bounds")
-                v = wrap_i32(int.from_bytes(memory[addr : addr + 4], "little"))
+                v = wrap_i32(load(addr))
                 push(v)
                 append(v + v + 1)
             elif op == STORE:
@@ -407,9 +453,9 @@ def _execute(state: MachineState, codes: array, fn_index: int, locals_: list[int
                 addr = pop()
                 append(addr + addr)
                 addr &= 0xFFFFFFFF
-                if addr + 4 > len(memory):
+                if addr + 4 > memory_size:
                     raise _Trap("out-of-bounds")
-                memory[addr : addr + 4] = (v & 0xFFFFFFFF).to_bytes(4, "little")
+                store(addr, v & 0xFFFFFFFF)
             elif op == DROP:
                 v = pop()
                 append(v + v)

@@ -362,11 +362,12 @@ def report_variants(
                 continue
             report.outcome = outcome
             report.trace = trace
-            report.dt_dyn = dt_dyn(original_trace, trace)
-            if len(original_trace) > 0:
-                report.normalized_dt_dyn = report.dt_dyn / len(original_trace)
-            report.trace_identical = report.dt_dyn == 0
             kept.append(report)
+        for report, cost in zip(kept, dt_dyn(original_trace, [r.trace for r in kept])):
+            report.dt_dyn = cost
+            if len(original_trace) > 0:
+                report.normalized_dt_dyn = cost / len(original_trace)
+            report.trace_identical = cost == 0
         reports = kept
     return DiversifyResult(
         exploration=exploration,

@@ -117,9 +117,68 @@ def test_globals():
     assert run(text)[0] == Outcome.result(10)
 
 
+def _memory_module(pages):
+    """`load(addr)`, and `store(addr, value)`, which returns the word it then
+    reads back from `addr`."""
+    return parse_module(f"""(module (memory {pages})
+      (func (param i32) (result i32) local.get 0 i32.load)
+      (func (param i32 i32) (result i32)
+        local.get 0 local.get 1 i32.store
+        local.get 0 i32.load)
+      (export "load" (func 0)) (export "store" (func 1)))""")
+
+
 def test_instantiate_memory_pages():
-    state = instantiate(parse_module("(module (memory 1))"))
-    assert len(state.memory) == 65536 and all(b == 0 for b in state.memory[:64])
+    """Untouched memory reads zeros around every page boundary, words that
+    span two pages included, and allocates nothing."""
+    for pages in (1, 2, 3):
+        state = instantiate(_memory_module(pages))
+        addrs = [page * 65536 + off for page in range(pages) for off in (0, 1, 65532, 65533)]
+        for addr in (a for a in addrs if a + 4 <= pages * 65536):
+            assert invoke(state, "load", [addr])[0] == Outcome.result(0), (pages, addr)
+        assert state.memory.size == pages * 65536 and state.memory.pages == {}
+
+
+@pytest.mark.parametrize("addr", [65532, 65533, 65534, 65535, 65536])
+def test_a_word_at_a_page_boundary_round_trips(addr):
+    state = instantiate(_memory_module(2))
+    assert invoke(state, "store", [addr, 0x0A0B0C0D])[0] == Outcome.result(0x0A0B0C0D)
+    # little-endian bytes 0d 0c 0b 0a at addr..addr+3; the bytes around stay zero
+    assert invoke(state, "load", [addr - 2])[0] == Outcome.result(0x0C0D0000)
+    assert invoke(state, "load", [addr + 2])[0] == Outcome.result(0x00000A0B)
+
+
+@pytest.mark.parametrize("pages", [1, 2])
+def test_last_in_bounds_word_round_trips_and_the_next_traps(pages):
+    top = pages * 65536
+    state = instantiate(_memory_module(pages))
+    assert invoke(state, "store", [top - 4, -7])[0] == Outcome.result(-7)
+    assert invoke(state, "load", [top - 4])[0] == Outcome.result(-7)
+    for addr in (top - 3, top - 1, top, -1):
+        assert invoke(instantiate(_memory_module(pages)), "load", [addr])[0] == (
+            Outcome.trap("out-of-bounds")), addr
+        assert invoke(instantiate(_memory_module(pages)), "store", [addr, 1])[0] == (
+            Outcome.trap("out-of-bounds")), addr
+
+
+def test_memory_of_the_page_limit_allocates_only_the_pages_stored_to():
+    """A 4 GiB `(memory 65536)` holds only the pages stored to: here three,
+    by words at both ends of memory and one across the last page boundary."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        state = instantiate(_memory_module(65536))
+        for addr, value in ((0, 5), (-4, -9), (-65538, 77)):  # -4 is 2**32 - 4
+            assert invoke(state, "store", [addr, value])[0] == Outcome.result(value)
+        assert invoke(state, "load", [-4])[0] == Outcome.result(-9)
+        assert invoke(state, "load", [-8])[0] == Outcome.result(0)
+        assert invoke(state, "load", [-3])[0] == Outcome.trap("out-of-bounds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(state.memory.pages) == [0, 65534, 65535]
+    assert peak < 4 * 65536 + 2**20
 
 
 def test_instantiate_global_init():

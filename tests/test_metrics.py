@@ -1,10 +1,13 @@
 import itertools
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import crow.metrics
 from crow import corpus
 from crow.interp import TraceEvent
 from crow.metrics import (
@@ -172,11 +175,93 @@ def test_dt_static_unrelated_modules():
 
 def test_dt_dyn_identical_zero():
     t = trace_of([("push", 1), ("pop", 1)])
-    assert dt_dyn(t, t) == 0
+    assert dt_dyn(t, [t]) == [0]
+    assert dt_dyn(t, [t, trace_of([("push", 1), ("pop", 1)])]) == [0, 0]
+    assert dt_dyn(t, []) == []
 
 
 def test_dt_dyn_value_sensitivity():
-    assert dt_dyn(trace_of([("push", 10)]), trace_of([("push", 20)])) == 1
+    assert dt_dyn(trace_of([("push", 10)]), [trace_of([("push", 20)])]) == [1]
+
+
+# --- one batch against the original, sharing its rows -----------------------------
+
+
+def _trace(seq):
+    """A trace of one push per character, equal exactly where the characters are."""
+    return trace_of(("push", ord(c)) for c in seq)
+
+
+def _check_batch(base, variants) -> int:
+    """Checks `dt_dyn` of `variants` against `base` on the reference;
+    returns how many of them it measured by a plain `dtw` call."""
+    with mock.patch.object(crow.metrics, "dtw", wraps=crow.metrics.dtw) as plain:
+        got = dt_dyn(_trace(base), [_trace(v) for v in variants])
+    assert got == [dtw_reference(base, v) for v in variants], (base, variants)
+    return plain.call_count
+
+
+REGIONS = {"front": (0.0,), "back": (1.0,), "both": (0.0, 1.0), "middle": (0.5,)}
+
+
+def _edit(base, region, rng):
+    """`base` with one to three insertions, deletions or substitutions, each
+    within two events of one of the region's relative positions."""
+    v = list(base)
+    for _ in range(rng.randint(1, 3)):
+        at = round(rng.choice(REGIONS[region]) * len(v)) + rng.randint(-2, 2)
+        at = min(max(at, 0), len(v))
+        op, token = rng.choice("ids"), rng.choice("ABCD")
+        if op == "i":
+            v.insert(at, token)
+        elif at < len(v) and op == "d":
+            del v[at]
+        elif at < len(v):
+            v[at] = token
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("ABC"), max_size=40),
+       st.lists(st.sampled_from(sorted(REGIONS)), min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_batch_dt_dyn_matches_reference_on_edited_variants(base, regions, rng):
+    _check_batch(base, [_edit(base, r, rng) for r in regions])
+
+
+@pytest.mark.parametrize("region", sorted(REGIONS))
+def test_batch_dt_dyn_shares_rows_on_seeded_edits(region):
+    """Batches of variants edited in one region: every cost is the
+    reference's, and most variants skip the plain `dtw`."""
+    rng = random.Random(region)
+    plain = total = 0
+    for _ in range(30):
+        base = [rng.choice("ABCD") for _ in range(rng.randint(30, 70))]
+        variants = [_edit(base, region, rng) for _ in range(rng.randint(2, 8))]
+        plain += _check_batch(base, variants)
+        total += len(variants)
+    assert plain < total / 2
+
+
+EDGE_CASES = {  # base, variants, whether every variant takes the shared path
+    "empty-original": ("", ["", "AB", "ABC"], False),
+    "empty-and-identical": ("ABCAB", ["", "ABCAB", ""], False),
+    "one-event-variants": ("ABCAB", ["A", "B"], False),
+    "prefixes-and-suffixes": ("ABCABCAB", ["ABC", "ABCABC", "CAB", "BCAB", "ABCABCA"], False),
+    "whole-original-prefix": ("AB" * 20, ["AB" * 21] * 3, True),  # s = 0
+    "ends-overlap": ("A" * 10 + "B" * 10,  # unclipped, p + s exceeds min(n, m)
+                     ["A" * 11 + "B" * 10, "A" * 10 + "B" * 12, "A" * 12 + "B" * 11], True),
+    "ends-overlap-short": ("AAB", ["AAAB", "AAAAB", "AABB"], False),
+    "duplicates": ("ABCD" * 10, ["Z" + "ABCD" * 10] * 3 + ["ABCD" * 10 + "Z"] * 2, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_batch_dt_dyn_edge_cases(case):
+    base, variants, shared = EDGE_CASES[case]
+    plain = _check_batch(list(base), [list(v) for v in variants])
+    if shared:
+        assert plain == 0
 
 
 # --- integer event codes ----------------------------------------------------------
@@ -195,10 +280,10 @@ def _event_strings(trace):
 
 
 @settings(max_examples=300, deadline=None)
-@given(traces, traces)
-def test_dt_dyn_matches_reference_over_event_strings(t1, t2):
-    assert dt_dyn(trace_of(t1), trace_of(t2)) == dtw_reference(
-        _event_strings(t1), _event_strings(t2))
+@given(traces, st.lists(traces, min_size=1, max_size=4))
+def test_dt_dyn_matches_reference_over_event_strings(t1, batch):
+    assert dt_dyn(trace_of(t1), [trace_of(t2) for t2 in batch]) == [
+        dtw_reference(_event_strings(t1), _event_strings(t2)) for t2 in batch]
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,8 +293,8 @@ def test_dt_dyn_push_and_pop_of_one_value_differ(values, data):
     kinds = data.draw(st.lists(st.sampled_from(["push", "pop"]), min_size=n, max_size=n))
     t1 = [TraceEvent(k, v) for k, v in zip(kinds, values)]
     t2 = [TraceEvent("pop" if k == "push" else "push", v) for k, v in zip(kinds, values)]
-    assert dt_dyn(trace_of(t1), trace_of(t2)) == dtw_reference(
-        _event_strings(t1), _event_strings(t2)) > 0
+    [cost] = dt_dyn(trace_of(t1), [trace_of(t2)])
+    assert cost == dtw_reference(_event_strings(t1), _event_strings(t2)) > 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,9 +340,31 @@ def test_cell_dtype_holds_every_value():
         assert info.min <= -(n + m) and n + m <= info.max
     assert cell_dtype(2**31 - 2, 1) is np.int32
     assert cell_dtype(2**31 - 1, 1) is np.int64
+    # a batch's cells stay below inf = n + its longest m, and a join sums two
+    # of them, so it asks for cell_dtype(inf, inf)
+    for inf in (1, 2**30 - 1, 2**30, 2**40):
+        info = np.iinfo(cell_dtype(inf, inf))
+        assert info.min <= -2 * inf and 2 * inf <= info.max
+    assert cell_dtype(2**30 - 1, 2**30 - 1) is np.int32
+    assert cell_dtype(2**30, 2**30) is np.int64
+
+
+def _narrow_cell_dtype(n, m):
+    """`cell_dtype`'s rule with the int32 border 2**31 moved down to int8's 2**7."""
+    return np.int8 if n + m < 2**7 else np.int64
 
 
 def test_dtw_cells_reach_the_border_value():
-    """All-mismatch pairs drive the cost to max(n, m), the largest cell."""
+    """All-mismatch pairs drive the cost to max(n, m), the largest cell.
+
+    In a batch, variants y^r z^h of the original x^h z^h share its backward
+    rows, and their joins add the border D(q, 0) = inf = 3h + 3 to
+    R(q+1, 1) = h. With the cell type's border moved to 2**7, these sums
+    pass it for h >= 32 while inf alone stays below it up to h = 41: the
+    batch still gives the reference cost on either side."""
     for n, m in [(1, 1), (4, 9), (9, 4), (300, 17)]:
         assert dtw(codes("x" * n), codes("y" * m)).cost == max(n, m)
+    with mock.patch.object(crow.metrics, "cell_dtype", _narrow_cell_dtype):
+        for h in range(4, 45):
+            plain = _check_batch("x" * h + "z" * h, ["y" * r + "z" * h for r in (1, 2, 3)])
+            assert plain == 0, h

@@ -14,6 +14,7 @@ from crow.pipeline import (
     dump_json,
     explore_module,
     generate_variants,
+    manifest_to_json,
     replacements_from_store,
     store_to_json,
     trace_module,
@@ -159,10 +160,11 @@ def test_diversify_reports_are_conserved(mul_add_module):
 
 def _count_dtw_calls(monkeypatch):
     """Wraps `crow.metrics.dtw`, counting dynamic calls (those made inside
-    `dt_dyn`) and static ones (all others)."""
+    `dt_dyn`) and static ones (all others), and `dt_dyn`, counting its
+    batches and the traces in them."""
     import crow.metrics
 
-    calls = {"static": 0, "dynamic": 0}
+    calls = {"static": 0, "dynamic": 0, "batches": 0, "batched": 0}
     in_dyn = []
     real_dtw, real_dyn = crow.metrics.dtw, pipeline.dt_dyn
 
@@ -170,10 +172,12 @@ def _count_dtw_calls(monkeypatch):
         calls["dynamic" if in_dyn else "static"] += 1
         return real_dtw(a, b)
 
-    def dyn(t1, t2):
+    def dyn(original, traces):
+        calls["batches"] += 1
+        calls["batched"] += len(traces)
         in_dyn.append(True)
         try:
-            return real_dyn(t1, t2)
+            return real_dyn(original, traces)
         finally:
             in_dyn.pop()
 
@@ -182,7 +186,18 @@ def _count_dtw_calls(monkeypatch):
     return calls
 
 
+def _assert_dt_dyn_is_pairwise_dtw(result):
+    """Each report's `dt_dyn` is the plain DTW of its trace and the original's."""
+    from crow.metrics import dtw, trace_tokens
+
+    original = trace_tokens(result.original_trace)
+    for rep in result.reports:
+        assert rep.dt_dyn == dtw(original, trace_tokens(rep.trace)).cost
+
+
 def test_report_variants_runs_one_dtw_of_each_kind_per_variant(mul_add_module, monkeypatch):
+    """One static `dtw` per variant, and one `dt_dyn` batch over every kept
+    trace, which calls `dtw` at most once per variant."""
     from crow.pipeline import report_variants
 
     blocks, replacements = _explored(mul_add_module)
@@ -190,10 +205,53 @@ def test_report_variants_runs_one_dtw_of_each_kind_per_variant(mul_add_module, m
     result = report_variants(mul_add_module, blocks, replacements, FAST,
                              trace_module(mul_add_module, FAST))
     assert result.reports and result.outcome_mismatches == 0
-    assert calls == {"static": len(result.reports), "dynamic": len(result.reports)}
+    k = len(result.reports)
+    assert calls["static"] == k and calls["dynamic"] <= k
+    assert (calls["batches"], calls["batched"]) == (1, k)
     n = len(result.original_trace)
     for rep in result.reports:
         assert rep.normalized_dt_dyn == rep.dt_dyn / n
+    monkeypatch.undo()
+    _assert_dt_dyn_is_pairwise_dtw(result)
+
+
+def _loop_program(n_blocks: int) -> str:
+    """`run(T)`: an accumulator, initially T, through `n_blocks` pure blocks,
+    each ended by an empty `block`, then a loop that adds T, T-1, ..., 1."""
+    ops = ("add", "xor", "sub")
+    blocks = "".join(
+        f"local.get 1 i32.const {3 + 7 * i} i32.const {100 + 13 * i} i32.{ops[i % 3]} "
+        f"i32.{ops[(i + 1) % 3]} local.set 1 block end "
+        for i in range(n_blocks))
+    return f"""(module
+      (func (param i32) (result i32) (local i32)
+        local.get 0 local.set 1 block end
+        {blocks}
+        block local.get 0 i32.eqz br_if 0
+          loop local.get 1 local.get 0 i32.add local.set 1
+            local.get 0 i32.const 1 i32.sub local.tee 0 br_if 0 end
+        end
+        local.get 1)
+      (export "run" (func 0)))"""
+
+
+def test_variants_of_blocks_before_a_loop_share_the_original_rows(monkeypatch):
+    """Variants that differ from the original only before a long loop take
+    the shared path, yet the manifest's `dt_dyn` is the pairwise `dtw` of
+    each variant's trace."""
+    m = parse_module(_loop_program(4))
+    cfg = dataclasses.replace(FAST, strict=True, timeout_seconds=0.2, max_variants=8,
+                              invoke_name="run", invoke_args=(300,))
+    calls = _count_dtw_calls(monkeypatch)
+    result = diversify(m, cfg)
+    monkeypatch.undo()
+    diverse = [r for r in result.reports if r.dt_dyn > 0]
+    assert len(diverse) >= 4 and len(result.original_trace) > 2000
+    assert calls["batches"] == 1 and calls["dynamic"] < len(diverse)
+    manifest = manifest_to_json(m, cfg, result, "original.wat",
+                                [f"v{i}.wat" for i in range(len(result.reports))])
+    assert [e["dt_dyn"] for e in manifest["variants"]] == [r.dt_dyn for r in result.reports]
+    _assert_dt_dyn_is_pairwise_dtw(result)
 
 
 def test_rank_by_diff_measures_each_variant_once(mul_add_module, monkeypatch):

@@ -1,25 +1,33 @@
 """Re-emit straight-line regions from their dataflow graphs.
 
 Replacement subgraphs need not be contiguous in stack code, so an affected
-region is regenerated wholesale instead of splicing instruction ranges:
-anchors (loads, stores, calls, local/global writes, trap-capable ops) replay
-in their original order, pure values are materialized on demand, and no
-folding or simplification is ever applied to the result.
+region is regenerated wholesale instead of splicing instruction ranges. This
+takes two steps over one graph:
 
-Materialization rules, in order:
-  * a value known to sit in a local right now is fetched with local.get;
-  * a value produced by an anchor lives in a dedicated temp local, set at
-    the anchor and fetched at every use (anchors never re-execute);
-  * accessible entry-stack values are spilled to temps in a prologue;
-  * anything pure is (re-)emitted, duplicating work when a value has many
-    uses, which is sound because the block is pure.
+  * `substitute` returns the variant's region IR. Each candidate's ops and
+    constants join the region's nodes, a candidate's input leaf is the
+    block's own input node, and every use of a replaced root outside its
+    candidate (op operands, anchor operands, the exit stack) points at the
+    candidate's root.
+  * `emit_region` materializes that graph. Anchors (loads, stores, calls,
+    local/global writes, trap-capable ops) replay in their original order,
+    pure values are materialized on demand, and no folding or
+    simplification is ever applied to the result.
 
-Substituted block roots emit their candidate DAG instead; the candidate's
-own input leaves bypass that substitution so a replacement for a bare value
-cannot recurse into itself.
+Every input value stays in a local for the whole region: a param or local
+the region never writes is read in place, and every other input (an
+entry-stack value, an anchor's result, the entry value of a local the region
+writes) is set once into a temp that nothing else writes. The one input
+without a local is a global that no in-region writer pins, re-read with
+global.get. One record says which node each local holds. A value some local
+holds is fetched from the local that took it last; a pure value no local
+holds is (re-)emitted, duplicating work when it has many uses, which is
+sound because it is pure.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .ir import (
     Dag,
@@ -27,6 +35,7 @@ from .ir import (
     K_INPUT,
     K_OP,
     OP_TO_MNEMONIC,
+    RNode,
     RegionIR,
     build_region_ir,
     build_regions,
@@ -35,6 +44,9 @@ from .wat import FuncDef, Instr, Module, wrap_i32
 
 # substitution map: root rnode id -> (candidate dag, rnode id per input ordinal)
 Substitutions = dict[int, tuple[Dag, tuple[int, ...]]]
+
+# One instruction per pure op; an Instr is immutable, so emitted bodies share them.
+OP_INSTR = {op: Instr(mnemonic) for op, mnemonic in OP_TO_MNEMONIC.items()}
 
 
 def emit_dag(dag: Dag) -> list[Instr]:
@@ -50,15 +62,44 @@ def emit_dag(dag: Dag) -> list[Instr]:
         else:
             for o in n.operands:
                 walk(o)
-            out.append(Instr(OP_TO_MNEMONIC[n.op]))
+            out.append(OP_INSTR[n.op])
 
     walk(dag.root)
     return out
 
 
-def emit_region(
-    ir: RegionIR, substitutions: Substitutions, temp_base: int
-) -> tuple[list[Instr], int]:
+def substitute(ir: RegionIR, substitutions: Substitutions) -> RegionIR:
+    """The variant's region IR: the region's nodes, then each candidate's ops
+    and constants. A candidate's input leaf is the block's input node, and
+    every use of a replaced root outside its candidate points at the
+    candidate's root. `ir` is left as it is."""
+    nodes = list(ir.nodes)
+    root_of: dict[int, int] = {}  # replaced root -> its candidate's root
+    for rid, (dag, binding) in substitutions.items():
+        at: list[int] = []  # node id per candidate node
+        for n in dag.nodes:
+            if n.kind == K_INPUT:
+                at.append(binding[n.input])
+            else:
+                at.append(len(nodes))  # an op or a const: no origin
+                nodes.append(RNode(len(nodes), n.kind, n.op, n.value, None,
+                                   tuple([at[o] for o in n.operands])))
+        root_of[rid] = at[dag.root]
+
+    def redirect(ids) -> tuple[int, ...]:
+        return tuple([root_of.get(i, i) for i in ids])
+
+    roots = root_of.keys()
+    for rn in ir.nodes:
+        if rn.operands and not roots.isdisjoint(rn.operands):
+            nodes[rn.id] = replace(rn, operands=redirect(rn.operands))
+    anchors = [a if roots.isdisjoint(a.operands) else replace(a, operands=redirect(a.operands))
+               for a in ir.anchors]
+    exit_stack = [root_of.get(i, i) for i in ir.exit_stack]
+    return RegionIR(ir.region, nodes, anchors, exit_stack, ir.entry_nodes)
+
+
+def emit_region(ir: RegionIR, temp_base: int) -> tuple[list[Instr], int]:
     """Returns (instructions, number of temp locals used)."""
     nodes = ir.nodes
     out: list[Instr] = []
@@ -70,21 +111,17 @@ def emit_region(
         temps_used += 1
         return t
 
-    def canon(rid: int, skip: frozenset):
-        if rid in substitutions and rid not in skip:
-            return ("sub", rid)
-        return rid
+    # What each local holds: local -> node id, and node id -> the locals
+    # holding it, most recent bind last (a dict keeps insertion order).
+    holds: dict[int, int] = {}
+    held_in: dict[int, dict[int, None]] = {}
 
-    # value identity -> local currently holding it, and the reverse
-    value_local: dict[object, int] = {}
-    local_value: dict[int, object] = {}
-
-    def bind(local: int, key: object):
-        old = local_value.get(local)
-        if old is not None and value_local.get(old) == local:
-            del value_local[old]
-        local_value[local] = key
-        value_local[key] = local
+    def bind(local: int, nid: int):
+        old = holds.get(local)
+        if old is not None:
+            del held_in[old][local]
+        holds[local] = nid
+        held_in.setdefault(nid, {})[local] = None
 
     # Prologue 1: spill consumed entry-stack values, top first.
     for nid in ir.entry_nodes:
@@ -105,62 +142,44 @@ def emit_region(
             else:
                 bind(rn.origin.index, rn.id)
 
-    def materialize(rid: int, skip: frozenset):
-        """Emits the value of region node `rid`. Pending work sits on an
-        explicit stack, so a deep pure chain is not bounded by Python's
-        recursion limit: an Instr to append, a region node (rid, skip), or
-        a candidate node (dag, index, binding, skip). Operands are pushed
-        last first, so they are emitted in order."""
-        work: list = [(rid, skip)]
+    def materialize(rid: int):
+        """Emits the value of node `rid`. Pending work sits on an explicit
+        stack, so a deep pure chain is not bounded by Python's recursion
+        limit: a node id, or an Instr to append. Operands are pushed last
+        first, so they are emitted in order."""
+        work: list = [rid]
         while work:
             item = work.pop()
             if isinstance(item, Instr):
                 out.append(item)
-            elif len(item) == 4:
-                dag, idx, binding, skip = item
-                n = dag.nodes[idx]
-                if n.kind == K_CONST:
-                    out.append(Instr("i32.const", wrap_i32(n.value)))
-                elif n.kind == K_INPUT:
-                    work.append((binding[n.input], skip))
-                else:
-                    work.append(Instr(OP_TO_MNEMONIC[n.op]))
-                    work.extend((dag, o, binding, skip) for o in reversed(n.operands))
-            else:
-                rid, skip = item
-                key = canon(rid, skip)
-                rn = nodes[rid]
-                if key in value_local:
-                    out.append(Instr("local.get", value_local[key]))
-                elif rid in substitutions and rid not in skip:
-                    dag, binding = substitutions[rid]
-                    work.append((dag, dag.root, binding, skip | {rid}))
-                elif rn.kind == K_CONST:
-                    out.append(Instr("i32.const", wrap_i32(rn.value)))
-                elif rn.kind == K_OP:
-                    work.append(Instr(OP_TO_MNEMONIC[rn.op]))
-                    work.extend((o, skip) for o in reversed(rn.operands))
-                elif rn.origin.kind in ("param", "local"):
-                    out.append(Instr("local.get", rn.origin.index))
-                elif rn.origin.stable:  # a global no in-region writer pins
-                    out.append(Instr("global.get", rn.origin.index))
-                else:  # pragma: no cover - anchored values always sit in temps
-                    raise AssertionError(f"no materialization for {rn.origin}")
+                continue
+            rn = nodes[item]
+            held = held_in.get(item)
+            if held:
+                out.append(Instr("local.get", next(reversed(held))))
+            elif rn.kind == K_CONST:
+                out.append(Instr("i32.const", wrap_i32(rn.value)))
+            elif rn.kind == K_OP:
+                work.append(OP_INSTR[rn.op])
+                work.extend(reversed(rn.operands))
+            elif rn.origin.kind == "global" and rn.origin.site is None:
+                out.append(Instr("global.get", rn.origin.index))
+            else:  # pragma: no cover - every other input stays in a local
+                raise AssertionError(f"no materialization for {rn.origin}")
 
-    none = frozenset()
     for anchor in ir.anchors:
         for op in anchor.operands:
-            materialize(op, none)
+            materialize(op)
         out.append(anchor.instr)
         if anchor.result is not None:
             t = new_temp()
             out.append(Instr("local.set", t))
             bind(t, anchor.result)
         if anchor.instr.mnemonic == "local.set":
-            bind(anchor.instr.immediate, canon(anchor.operands[0], none))
+            bind(anchor.instr.immediate, anchor.operands[0])
 
     for rid in ir.exit_stack:
-        materialize(rid, none)
+        materialize(rid)
     return out, temps_used
 
 
@@ -178,7 +197,8 @@ def reemit_function(
         body.extend(f.body[pos : region.start])
         subs = region_subs.get(ri)
         if subs:
-            instrs, used = emit_region(build_region_ir(m, region), subs, temp_base)
+            ir = substitute(build_region_ir(m, region), subs)
+            instrs, used = emit_region(ir, temp_base)
             temp_base += used
             body.extend(instrs)
         else:

@@ -281,8 +281,7 @@ def check(b: PureBlock, c: Dag, cfg: CheckerConfig, seed: int) -> Verdict:
 
     # Sound path 1: the whole width-32 domain fits in the budget.
     if (1 << (n * 32)) <= EXHAUSTIVE_BUDGET:
-        verdict, ev, _ = exhaustive_check(b.dag, c, n, 32)
-        return Verdict(verdict.tier, verdict.method, verdict.counterexample, evals + ev)
+        return exhaustive_check(b.dag, c, n, 32)[0]
 
     # Sound path 2: external solver.
     if cfg.mode == "smt":

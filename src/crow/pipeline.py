@@ -357,7 +357,7 @@ def report_variants(
         kept = []
         for report, (outcome, trace) in zip(reports, traced):
             if outcome != original_outcome:
-                # a probable-tier replacement lied; the variant is dropped
+                # dropped: the variant's outcome differs from the original's
                 mismatches += 1
                 continue
             report.outcome = outcome

@@ -3,12 +3,14 @@
 A module's signatures, globals and memory are drawn first, so bodies can
 read and write globals, load and store, and call functions. A function only
 calls functions after it, so there is no recursion. Bodies are built
-inside-out from expression trees so they stack-check by construction;
-statements wrap expressions in local.set / global.set / i32.store / drop /
-if-else and nest block, loop and if, so structured control also gets
-exercised. Branches target any enclosing label with extra values on the
-stack to unwind; only `br_if` targets a loop, so every loop iteration emits
-an event. `return` and `unreachable` leave dead code behind them.
+inside-out from expression trees so they stack-check by construction. An
+expression may write a local with `local.tee`, so a value can stay pending
+on the stack across a write to a local. Statements wrap expressions in
+local.set / global.set / i32.store / drop / if-else and nest block, loop
+and if, so structured control also gets exercised. Branches target any
+enclosing label with extra values on the stack to unwind; only `br_if`
+targets a loop, so every loop iteration emits an event. `return` and
+`unreachable` leave dead code behind them.
 """
 
 from typing import NamedTuple
@@ -62,6 +64,8 @@ def expr(draw, ctx, depth=0):
         kinds.append("global")
     if depth < 3:
         kinds += ["binop", "binop", "eqz", "select", "divrem"]
+        if ctx.nlocals:
+            kinds.append("tee")
         if ctx.memory:
             kinds.append("load")
         if any(sig.results for _, sig in ctx.callees):
@@ -81,6 +85,8 @@ def expr(draw, ctx, depth=0):
         a = draw(expr(ctx, depth + 1))
         b = draw(expr(ctx, depth + 1))
         return a + b + [Instr(draw(st.sampled_from(BINOPS if kind == "binop" else DIVOPS)))]
+    if kind == "tee":  # e; local.tee k leaves e's value
+        return draw(expr(ctx, depth + 1)) + [Instr("local.tee", draw(st.integers(0, ctx.nlocals - 1)))]
     if kind == "eqz":
         a = draw(expr(ctx, depth + 1))
         return a + [Instr("i32.eqz")]

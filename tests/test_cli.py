@@ -11,7 +11,7 @@ import crow.pipeline
 from crow import corpus
 from crow.cli import main
 from crow.equiv import SOLVER_ENV, CheckerConfig
-from crow.interp import read_trace
+from crow.interp import instantiate, invoke, read_trace
 from crow.metrics import dtw, tokenize
 from crow.pipeline import RunConfig
 from crow.synth import SynthesisConfig
@@ -514,6 +514,30 @@ def test_diversify_end_to_end(tmp_path, module_file):
         assert (outdir / "traces" / (Path(entry["file"]).stem + ".trace")).exists()
     assert (outdir / "traces" / "original.trace").exists()
     assert (outdir / "replacements.json").exists()
+
+
+def _main_results(outdir: Path) -> set[str]:
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["variants"]
+    return {str(invoke(instantiate(parse_module((outdir / e["file"]).read_text())), "main", [])[0])
+            for e in manifest["variants"]}
+
+
+def test_variants_of_reused_locals_keep_the_result(tmp_path, reused_local_program, capsys):
+    """Generated (strict) and diversified variants of a program whose region
+    overwrites a local that held a pending value all return the original's
+    result; diversify drops none of them."""
+    text, want = reused_local_program
+    p = tmp_path / "prog.wat"
+    p.write_text(text)
+    store, generated, diversified = tmp_path / "store.json", tmp_path / "gen", tmp_path / "div"
+    assert main(["explore", str(p), "-o", str(store), *EXPLORE_SMALL]) == 0
+    assert main(["generate", str(p), str(store), "-o", str(generated), "--strict",
+                 *GENERATE_SMALL]) == 0
+    assert _main_results(generated) == {f"result {want}"}
+    assert main(["diversify", str(p), "-o", str(diversified), *SMALL]) == 0
+    assert "outcome mismatch" not in capsys.readouterr().out
+    assert _main_results(diversified) == {f"result {want}"}
 
 
 def test_diversify_non_diversifiable_module(tmp_path):

@@ -382,6 +382,20 @@ def test_reemit_deep_pure_chain():
         assert invoke(instantiate(out), "run", [x])[0] == invoke(instantiate(m), "run", [x])[0]
 
 
+def test_reemission_reads_values_from_locals_that_still_hold_them(reused_local_program):
+    """Every block of the callee re-emitted from its own DAG: the value left
+    pending on the stack is read from a local that still holds it, not from
+    one the region has overwritten since."""
+    text, want = reused_local_program
+    m = parse_module(text)
+    blocks = [b for b in extract_module_blocks(m) if b.func == 0]
+    reps = {b.id: [Replacement(Candidate(b.dag, 0), "probable", "reduced-width", 1)]
+            for b in blocks}
+    s = resolve_overlaps(blocks, reps)
+    out = apply_plan(m, s, VariantPlan(dict.fromkeys(s.blocks, 0)))
+    assert str(invoke(instantiate(out), "main", [])[0]) == f"result {want}", print_module(out)
+
+
 # --- emission over generated modules ----------------------------------------------------
 
 EMIT_FUEL = 2000  # a generated loop may never exit; the original's run ends here
